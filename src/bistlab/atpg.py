@@ -16,8 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .faultsim import Fault, FaultSet, fault_simulate, _fault_effect
-from .simcore import PatternBatch, _evaluate
+from .faultsim import FaultSet, count_new_detections, fault_simulate
+from .simcore import PatternBatch
 
 
 class BadLength(Exception):
@@ -227,7 +227,6 @@ class _Podem:
         self.input_set = set(self.inputs)
         self.observed = set(net.output_nets)
         self.producer = {g.output: g for g in net.gates}
-        self.position = {g.output: pos for pos, g in enumerate(net.gates)}
         self.cc0, self.cc1 = _controllability(net)
         self.fanout = net.fanout()
 
@@ -376,25 +375,6 @@ def podem(net, fault, budget=10 ** 6, rng=None):
     return result
 
 
-def count_new_detections(net, batch, fs):
-    """How many currently undetected faults the batch would detect.
-
-    Pure query: fs is not modified.
-    """
-    good = _evaluate(net, batch)
-    full = (1 << batch.width) - 1
-    observed = set(net.output_nets)
-    fanout = net.fanout()
-    n = 0
-    for i, f in enumerate(fs.all):
-        if fs.detected[i]:
-            continue
-        det, _ = _fault_effect(net, good, full, f, fanout, observed)
-        if det:
-            n += 1
-    return n
-
-
 def select_best_vector(net, pool, fs):
     """Pick the unconsumed vector detecting the most live faults.
 
@@ -469,24 +449,4 @@ def build_deterministic_pool(net, fs, budget=10 ** 6, fill_seed=0, skip=()):
         fault_simulate(net, PatternBatch.from_scan_words(net, [vec.bits]), final)
     pool.detects_at_build = detects
     pool.backtracked = tuple(limited)
-    return pool
-
-
-def build_random_pool(net, fs, tries=256, keep=16, seed=0):
-    """Cheap provider: random vectors kept greedily by new detections."""
-    rng = random.Random(seed)
-    width = len(net.input_nets)
-    work = FaultSet(fs.all)
-    work.detected[:] = fs.detected
-    work.untestable[:] = fs.untestable
-    pool = VectorPool(fill_seed=seed)
-    for _ in range(tries):
-        if len(pool) >= keep:
-            break
-        bits = rng.getrandbits(width)
-        batch = PatternBatch.from_scan_words(net, [bits])
-        if count_new_detections(net, batch, work) > 0:
-            vec = TestVector(bits, width, "random-greedy")
-            pool.add(vec)
-            fault_simulate(net, batch, work)
     return pool

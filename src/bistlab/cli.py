@@ -22,7 +22,6 @@ malformed input file, 3 regression failure.
 import argparse
 import concurrent.futures
 import itertools
-import os
 import sys
 
 from .atpg import (
@@ -108,14 +107,7 @@ def _parse_poly_spec(spec):
 
 
 def _load_circuit(args):
-    name = args.bench
-    if getattr(args, "bench_dir", None):
-        cand = os.path.join(args.bench_dir, name)
-        for c in (cand, cand + ".bench"):
-            if os.path.exists(c):
-                name = c
-                break
-    path = resolve_bench_path(name)
+    path = resolve_bench_path(args.bench, args.bench_dir)
     try:
         return load_bench(path)
     except NetlistError as exc:
@@ -293,7 +285,7 @@ def _sweep_cell(task):
 
 
 def _cmd_sweep(args):
-    bench_path = resolve_bench_path(args.bench)
+    bench_path = resolve_bench_path(args.bench, args.bench_dir)
     th1_grid = [float(x) for x in args.th1_grid.split(",")]
     ratio_grid = [float(x) for x in args.th2_ratio_grid.split(",")]
     poly_grid = [None]

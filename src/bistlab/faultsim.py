@@ -5,7 +5,9 @@ polarities on every gate output net (stem faults) and on every gate
 input connection (branch faults). Simulation is parallel-pattern,
 single-fault: the good machine is evaluated once per batch, then each
 live fault propagates only through its cone of influence, lane masks in
-plain ints. Detection means a difference at any PO or PPO.
+plain ints. Detection means a difference at any PO or PPO. Detected
+faults are dropped: fault_simulate and count_new_detections share one
+fault loop (_detections) that skips them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .simcore import _evaluate
+from .simcore import PatternBatch, _evaluate, _response_word
 
 
 @dataclass(frozen=True)
@@ -226,44 +228,68 @@ def _fault_effect(net, good, full, fault, fanout, observed):
     return det, fval
 
 
-def fault_simulate(net, batch, fs, drop=True, pattern_base=0):
-    """Simulate every live fault against the batch.
+def _detections(net, batch, fs):
+    """Undetected faults the batch exposes, as (index, detecting lanes).
 
-    Updates fs in place and returns per-lane newly-detected counts;
-    when several lanes detect the same fault the earliest lane claims
-    it. pattern_base is added to the lane index for detector records.
-    drop=False re-propagates already-detected faults (for detection
-    matrices) without recounting them.
+    The one fault loop behind fault_simulate and count_new_detections;
+    the good machine is evaluated once per call.
     """
     good = _evaluate(net, batch)
     full = (1 << batch.width) - 1
     observed = set(net.output_nets)
     fanout = net.fanout()
-    counts = [0] * batch.width
+    detected = fs.detected
     for i, f in enumerate(fs.all):
-        if drop and fs.detected[i]:
+        if detected[i]:
             continue
         det, _ = _fault_effect(net, good, full, f, fanout, observed)
-        if det and not fs.detected[i]:
-            lane = (det & -det).bit_length() - 1
-            fs.mark_detected(i, pattern_base + lane)
-            counts[lane] += 1
+        if det:
+            yield i, det
+
+
+def fault_simulate(net, batch, fs, pattern_base=0):
+    """Simulate every undetected fault against the batch.
+
+    Updates fs in place and returns per-lane newly-detected counts;
+    when several lanes detect the same fault the earliest lane claims
+    it. pattern_base is added to the lane index for detector records.
+    """
+    counts = [0] * batch.width
+    for i, det in _detections(net, batch, fs):
+        lane = (det & -det).bit_length() - 1
+        fs.mark_detected(i, pattern_base + lane)
+        counts[lane] += 1
     return counts
+
+
+def count_new_detections(net, batch, fs):
+    """How many currently undetected faults the batch would detect.
+
+    Pure query: fs is not modified.
+    """
+    return sum(1 for _ in _detections(net, batch, fs))
+
+
+def _response_diff(net, good, fault, observed):
+    """Observed bits one fault flips, given width-1 good values.
+
+    Bit j is the j-th output net (POs then PPOs), as in a response word.
+    """
+    det, fval = _fault_effect(net, good, 1, fault, net.fanout(), observed)
+    if not det:
+        return 0
+    diff = 0
+    for j, nid in enumerate(net.output_nets):
+        if nid in fval:
+            diff |= (fval[nid] ^ good[nid]) << j
+    return diff
 
 
 def faulty_response_word(net, word, fault):
     """Response word of the faulty machine for one scan word."""
-    from .simcore import PatternBatch
-
-    batch = PatternBatch.from_scan_words(net, [word])
-    good = _evaluate(net, batch)
-    fanout = net.fanout()
+    good = _evaluate(net, PatternBatch.from_scan_words(net, [word]))
     observed = set(net.output_nets)
-    _, fval = _fault_effect(net, good, 1, fault, fanout, observed)
-    w = 0
-    for j, nid in enumerate(net.output_nets):
-        w |= fval.get(nid, good[nid]) << j
-    return w
+    return _response_word(net, good) ^ _response_diff(net, good, fault, observed)
 
 
 def fault_name(net, fault):

@@ -332,8 +332,8 @@ def to_bench(net):
     return "\n".join(lines) + "\n"
 
 
-def resolve_bench_path(name):
-    """Find a .bench file: literal path, then $BENCH_DIR, then bundled.
+def resolve_bench_path(name, bench_dir=None):
+    """Find a .bench file: literal path, bench_dir, $BENCH_DIR, bundled.
 
     A bare circuit name like "s27" is tried with a .bench suffix too.
     """
@@ -345,10 +345,11 @@ def resolve_bench_path(name):
         tried.append(cand)
         if os.path.exists(cand):
             return cand
-    bench_dir = os.environ.get("BENCH_DIR")
-    if bench_dir:
+    for directory in (bench_dir, os.environ.get("BENCH_DIR")):
+        if not directory:
+            continue
         for cand in names:
-            cand = os.path.join(bench_dir, cand)
+            cand = os.path.join(directory, cand)
             tried.append(cand)
             if os.path.exists(cand):
                 return cand

@@ -142,10 +142,6 @@ class BilboMode:
             raise ValueError(f"ms must be 0 or 1, got {self.ms}")
 
     @property
-    def b2b1(self):
-        return (0, 1) if self.ms == 0 else (0, 0)
-
-    @property
     def cycles_per_pattern(self):
         return 2 if self.ms == 0 else 1
 
@@ -205,7 +201,7 @@ class IpBilbo:
     vector resets both the state and the guard memory.
     """
 
-    def __init__(self, cfg, seed_bits=None, guard=True):
+    def __init__(self, cfg, seed_bits=None):
         self.cfg = cfg
         n = cfg.width
         if seed_bits is None:
@@ -214,7 +210,6 @@ class IpBilbo:
             raise ValueError("all-zero seed locks the generator at zero")
         self.state = RegisterState(n, seed_bits)
         self.schedule_index = 0
-        self.guard = guard
         self._seen = set()
 
     def load(self, bits):
@@ -224,26 +219,16 @@ class IpBilbo:
     def next_pattern(self, mode, response):
         key = (mode.ms, self.state.bits,
                self.schedule_index % len(self.cfg.poly_schedule))
-        if self.guard:
-            if key in self._seen:
-                raise GeneratorCycleDetected(
-                    f"state {self.state.bits:#x} at schedule position {key[2]} "
-                    f"revisited in mode ms={mode.ms}")
-            self._seen.add(key)
+        if key in self._seen:
+            raise GeneratorCycleDetected(
+                f"state {self.state.bits:#x} at schedule position {key[2]} "
+                f"revisited in mode ms={mode.ms}")
+        self._seen.add(key)
         nxt, cycles = ipbilbo_next_pattern(self.state, self.cfg, mode,
                                            response, self.schedule_index)
         self.state = nxt
         self.schedule_index = (self.schedule_index + cycles) % len(self.cfg.poly_schedule)
         return cycles
-
-    def signature(self):
-        return self.state
-
-
-def compare_signature(observed, golden):
-    if observed.width != golden.width:
-        raise DegreeMismatch("signatures of different widths")
-    return observed.bits == golden.bits
 
 
 def default_schedule(width):

@@ -34,7 +34,7 @@ that is how the hardware behaves, not an approximation.
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .atpg import (
     PoolExhausted,
@@ -44,7 +44,7 @@ from .atpg import (
     select_best_vector,
 )
 from .faultsim import (
-    _fault_effect,
+    _response_diff,
     collapse_faults,
     enumerate_faults,
     fault_simulate,
@@ -63,7 +63,7 @@ from .registers import (
     fold_response,
     next_lfsr,
 )
-from .simcore import PatternBatch, _evaluate, simulate_batch
+from .simcore import PatternBatch, _evaluate, _response_word
 
 log = logging.getLogger(__name__)
 
@@ -136,6 +136,12 @@ class CampaignConfig:
             raise ValueError("cycle budget must be positive")
         if not 0.0 < self.target_coverage <= 1.0:
             raise ValueError("target coverage must be in (0, 1]")
+        if self.unload_interval < 1:
+            raise ValueError("unload interval must be >= 1")
+        if self.backtrack_budget < 0:
+            raise ValueError("backtrack budget must be >= 0")
+        if self.shadow_limit < 0:
+            raise ValueError("shadow limit must be >= 0")
 
 
 @dataclass
@@ -145,7 +151,6 @@ class CampaignAccounting:
     prtp_ph1: int = 0
     prtp_ph2: int = 0
     cycles: int = 0
-    coverage_trace: list = field(default_factory=list)  # (cycle, coverage)
 
     def identity_holds(self, scan_length):
         return self.cycles == (
@@ -271,10 +276,7 @@ class _SignatureOverlay:
         self.aliased_events = 0
         self.fold_masked = 0  # diffs cancelled to zero by response folding
         self.compares = 0
-        self.trace = []  # (cycle, phase, golden state bits) per boundary
-        self._fanout = net.fanout()
-        self._out_order = list(net.output_nets)
-        self._observed = set(self._out_order)
+        self._observed = set(net.output_nets)
 
     def _live(self):
         for i in range(len(self.fs.all)):
@@ -287,17 +289,8 @@ class _SignatureOverlay:
         for i in self._live():
             if i in self.shadows:
                 continue
-            det, fvals = _fault_effect(
-                self.net, good_nets, 1, self.fs.all[i], self._fanout,
-                self._observed,
-            )
-            if not det:
-                continue
-            diff = 0
-            for j, nid in enumerate(self._out_order):
-                g = good_nets[nid] & 1
-                f = fvals.get(nid, g) & 1
-                diff |= (g ^ f) << j
+            diff = _response_diff(self.net, good_nets, self.fs.all[i],
+                                  self._observed)
             if diff:
                 self.pending_diff[i] = diff
 
@@ -335,11 +328,10 @@ class _SignatureOverlay:
                 self.fold_masked += 1
         self.pending_diff.clear()
 
-    def compare_boundary(self, cycle, phase):
+    def compare_boundary(self):
         """Unload: diverged-and-different is caught, equal is aliased."""
         self.compares += 1
         golden = self.gen.state.bits
-        self.trace.append((cycle, phase, golden))
         for i, st in self.shadows.items():
             if st.bits != golden:
                 self.sig_detected[i] = 1
@@ -358,7 +350,6 @@ class _SignatureOverlay:
             "aliased_events": self.aliased_events,
             "fold_masked": self.fold_masked,
             "boundary_compares": self.compares,
-            "trace_length": len(self.trace),
         }
 
 
@@ -429,7 +420,13 @@ class CampaignState:
             "cycle accounting identity broken"
         cov = self.coverage()
         self.events.append((self.acct.cycles, event, self.phase, new, cov))
-        self.acct.coverage_trace.append((self.acct.cycles, cov))
+
+    def _respond(self, batch):
+        """Record the good response to a one-pattern batch; feed the overlay."""
+        good = _evaluate(self.net, batch)
+        self.last_response = _response_word(self.net, good)
+        if self.overlay is not None:
+            self.overlay.absorb_responses(good)
 
     def _simulate(self, word):
         """Apply one fully-specified pattern; returns new detections."""
@@ -437,9 +434,7 @@ class CampaignState:
         counts = fault_simulate(
             self.net, batch, self.fs, pattern_base=self.pattern_index
         )
-        self.last_response = simulate_batch(self.net, batch).scan_words(self.net)[0]
-        if self.overlay is not None:
-            self.overlay.absorb_responses(_evaluate(self.net, batch))
+        self._respond(batch)
         self.pattern_index += 1
         return counts[0]
 
@@ -452,12 +447,8 @@ class CampaignState:
         clock will absorb that answer.
         """
         if self.last_response is None:
-            batch = PatternBatch.from_scan_words(self.net, [self.gen.state.bits])
-            self.last_response = (
-                simulate_batch(self.net, batch).scan_words(self.net)[0]
-            )
-            if self.overlay is not None:
-                self.overlay.absorb_responses(_evaluate(self.net, batch))
+            self._respond(
+                PatternBatch.from_scan_words(self.net, [self.gen.state.bits]))
 
     # -- the two cycle-charging operations ----------------------------------
 
@@ -465,7 +456,7 @@ class CampaignState:
         """Scan in one vector: scan_length cycles, register reseeded."""
         if self.overlay is not None:
             # the load destroys register state; compare what we have first
-            self.overlay.compare_boundary(self.acct.cycles, self.phase)
+            self.overlay.compare_boundary()
             self.overlay.resync()
         self.acct.pmdv += 1
         self.acct.cycles += self.profile.scan_length
@@ -496,18 +487,10 @@ class CampaignState:
         self.since_unload += 1
         if self.since_unload >= self.cfg.unload_interval:
             if self.overlay is not None:
-                self.overlay.compare_boundary(self.acct.cycles, self.phase)
+                self.overlay.compare_boundary()
             self.since_unload = 0
         self._log("pseudorandom", new)
         return new
-
-
-def apply_deterministic(state, vector):
-    return state.apply_deterministic(vector)
-
-
-def apply_pseudorandom(state, phase):
-    return state.apply_pseudorandom(phase)
 
 
 def _random_burst(state):
@@ -543,13 +526,17 @@ def run_campaign(net, config=None, fs=None):
     """Run the full two-phase campaign on a circuit.
 
     The fault set is enumerated (and collapsed, per config) from the
-    netlist unless a prepared one is passed in. The first deterministic
-    vector is always applied (the generator needs a seed worth its
-    silicon); afterwards the structure is: free-run, reseed when the
-    generator goes stale, advance to phase 2 at th1 coverage, and stop
-    at target coverage, at the cycle budget, on a generator cycle with
-    no reseed left, or when a whole phase-2 burst finds nothing and
-    neither can the provider.
+    netlist unless a prepared one is passed in. A passed-in fs is
+    updated in place, not copied: detections and untestable verdicts
+    are written into it, so afterwards result.detected equals
+    fs.detected_count().
+
+    The first deterministic vector is always applied (the generator
+    needs a seed worth its silicon); afterwards the structure is:
+    free-run, reseed when the generator goes stale, advance to phase 2
+    at th1 coverage, and stop at target coverage, at the cycle budget,
+    on a generator cycle with no reseed left, or when a whole phase-2
+    burst finds nothing and neither can the provider.
     """
     if config is None:
         config = CampaignConfig()
@@ -600,7 +587,7 @@ def run_campaign(net, config=None, fs=None):
 
     if state.overlay is not None:
         # final unload so trailing divergence is not silently dropped
-        state.overlay.compare_boundary(state.acct.cycles, state.phase)
+        state.overlay.compare_boundary()
 
     acct = state.acct
     assert acct.identity_holds(state.profile.scan_length)

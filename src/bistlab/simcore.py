@@ -2,8 +2,9 @@
 
 simulate_batch packs one pattern per bit lane into plain Python ints, so
 a batch of W patterns costs one pass over the gates regardless of W.
-simulate_serial is the scalar reference evaluator; it shares no logic
-with the batch path and is the oracle the batch engine is tested against.
+Two-valued gate semantics live in _evaluate (the good machine) and in
+faultsim's cone propagation, nowhere else; both are tested against the
+independent reference in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -91,6 +92,14 @@ def _evaluate(net, batch):
     return values
 
 
+def _response_word(net, values):
+    """Response word of a width-1 evaluation (bit j = j-th output net)."""
+    w = 0
+    for j, nid in enumerate(net.output_nets):
+        w |= values[nid] << j
+    return w
+
+
 def simulate_batch(net, batch):
     """Evaluate all lanes at once. Batch keys must equal the input nets."""
     if set(batch.bits) != set(net.input_nets):
@@ -102,48 +111,3 @@ def simulate_batch(net, batch):
         raise WidthMismatch("empty batch")
     values = _evaluate(net, batch)
     return ResponseBatch(batch.width, {nid: values[nid] for nid in net.output_nets})
-
-
-def simulate_serial(net, assignment):
-    """Scalar reference evaluator.
-
-    assignment maps input net id -> 0/1; returns {output net id -> 0/1}.
-    Used as the oracle for simulate_batch and in tiny campaigns.
-    """
-    if set(assignment) != set(net.input_nets):
-        raise WidthMismatch("assignment does not match netlist inputs")
-    val = dict(assignment)
-    for nid, b in assignment.items():
-        if b not in (0, 1):
-            raise WidthMismatch(f"non-boolean value {b!r} for net {nid}")
-    for g in net.gates:
-        if g.kind == "DFF":
-            raise WidthMismatch(f"cannot simulate sequential element {g.name}; "
-                                "run full_scan_transform first")
-    for g in net.gates:
-        try:
-            xs = [val[i] for i in g.inputs]
-        except KeyError as exc:
-            raise WidthMismatch(
-                f"gate {g.name} reads net {exc.args[0]} before it is driven; "
-                "levelize the netlist first") from None
-        if g.kind == "AND":
-            v = int(all(xs))
-        elif g.kind == "NAND":
-            v = int(not all(xs))
-        elif g.kind == "OR":
-            v = int(any(xs))
-        elif g.kind == "NOR":
-            v = int(not any(xs))
-        elif g.kind == "XOR":
-            v = sum(xs) % 2
-        elif g.kind == "XNOR":
-            v = (sum(xs) + 1) % 2
-        elif g.kind == "NOT":
-            v = 1 - xs[0]
-        elif g.kind == "BUFF":
-            v = xs[0]
-        else:
-            raise WidthMismatch(f"no scalar rule for {g.kind} gate {g.name}")
-        val[g.output] = v
-    return {nid: val[nid] for nid in net.output_nets}

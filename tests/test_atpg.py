@@ -13,7 +13,6 @@ from bistlab.atpg import (
     UNTESTABLE,
     VectorPool,
     build_deterministic_pool,
-    build_random_pool,
     count_new_detections,
     export_vectors,
     load_vectors,
@@ -243,11 +242,3 @@ def test_pool_build_is_deterministic(s27):
     p2 = build_deterministic_pool(s27, fs2)
     assert [v.bits for v in p1.vectors] == [v.bits for v in p2.vectors]
     assert p1.detects_at_build == p2.detects_at_build
-
-
-def test_random_pool_detects_something(c17):
-    fs = collapse_faults(enumerate_faults(c17), c17)
-    pool = build_random_pool(c17, fs, tries=64, keep=8, seed=3)
-    assert 0 < len(pool) <= 8
-    _apply_pool(c17, pool, fs)
-    assert fs.detected_count() > 0

@@ -195,6 +195,11 @@ def test_bench_dir_flag(tmp_path, capsys):
     assert run_cli("inspect", "--bench", "tiny",
                    "--bench-dir", str(tmp_path)) == 0
     assert "2 PI" in capsys.readouterr().out
+    assert run_cli("sweep", "--bench", "tiny",
+                   "--bench-dir", str(tmp_path)) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line and not line.startswith("#")]
+    assert len(rows) == 2 and rows[1].endswith("target-reached")
 
 
 def test_bench_dir_env(tmp_path, capsys, monkeypatch):

@@ -10,7 +10,6 @@ from bistlab.registers import (
     IpBilboConfig,
     Polynomial,
     RegisterState,
-    compare_signature,
     default_schedule,
     fold_response,
     ipbilbo_next_pattern,
@@ -130,8 +129,6 @@ def test_register_state_validation():
 # ------------------------------------------------------------- mode wiring
 
 def test_bilbo_mode():
-    assert BilboMode(0).b2b1 == (0, 1)
-    assert BilboMode(1).b2b1 == (0, 0)
     assert BilboMode(0).cycles_per_pattern == 2
     assert BilboMode(1).cycles_per_pattern == 1
     with pytest.raises(ValueError):
@@ -228,23 +225,6 @@ def test_load_clears_guard():
     gen.load(0b01)
     for _ in range(3):
         gen.next_pattern(BilboMode(1), 0)
-
-
-def test_guard_can_be_disarmed():
-    p2 = Polynomial(2, 0b11)
-    gen = IpBilbo(IpBilboConfig((p2,)), seed_bits=0b01, guard=False)
-    for _ in range(10):
-        gen.next_pattern(BilboMode(1), 0)
-
-
-def test_signature_compare():
-    gen = IpBilbo(IpBilboConfig((P3A, P3B)))
-    gen.next_pattern(BilboMode(1), 0b010)
-    assert compare_signature(gen.signature(), RegisterState(3, gen.state.bits))
-    assert not compare_signature(gen.signature(),
-                                 RegisterState(3, gen.state.bits ^ 1))
-    with pytest.raises(DegreeMismatch):
-        compare_signature(RegisterState(3, 1), RegisterState(4, 1))
 
 
 # ----------------------------------------------------------- shipped table

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from bistlab.atpg import TestVector
+from bistlab.cli import main
 from bistlab.registers import DegreeMismatch
 from bistlab.netlist import circuit_profile, full_scan_transform, load_bench, parse_bench
 from bistlab.faultsim import collapse_faults, enumerate_faults
@@ -140,6 +141,19 @@ def test_config_validation():
         CampaignConfig(target_coverage=1.1)
 
 
+@pytest.mark.parametrize("field, value, flag", [
+    ("unload_interval", 0, "--unload-interval"),
+    ("backtrack_budget", -1, "--backtrack-budget"),
+    ("shadow_limit", -1, None),  # library-only field, no flag
+])
+def test_config_rejects_negative_counts(field, value, flag, capsys):
+    with pytest.raises(ValueError, match=field.replace("_", " ")):
+        CampaignConfig(**{field: value})
+    if flag is not None:
+        assert main(["campaign", "--bench", "s27", flag, str(value)]) == 1
+        assert field.replace("_", " ") in capsys.readouterr().err
+
+
 # ---------------------------------------------------------- full campaigns
 
 @pytest.fixture(scope="module")
@@ -203,9 +217,14 @@ def test_campaign_accepts_sequential_netlist_directly():
 def test_campaign_accepts_prepared_fault_set(s27):
     fs = collapse_faults(enumerate_faults(s27), s27)
     total = len(fs.all)
+    assert fs.detected_count() == 0
     r = run_campaign(s27, CampaignConfig(seed=1), fs=fs)
     assert r.total_faults == total
-    assert fs.detected_count() == r.detected  # ran on the given set
+    # documented: the caller's set is updated in place, not copied
+    assert fs.detected_count() == r.detected > 0
+    assert fs.untestable_count() == r.untestable
+    patterns = r.accounting.pmdv + r.accounting.prtp_ph1 + r.accounting.prtp_ph2
+    assert max(fs.detector.values()) < patterns
 
 
 def test_th1_zero_skips_phase_one():
@@ -329,10 +348,9 @@ def test_signature_stats_shape(s27):
     r = run_campaign(s27, CampaignConfig(seed=1, detection_mode="signature"))
     s = r.signature
     assert set(s) == {"detected", "aliased_events", "fold_masked",
-                      "boundary_compares", "trace_length"}
+                      "boundary_compares"}
     assert s["boundary_compares"] >= 1
     assert 0 < s["detected"] <= r.detected
-    assert s["trace_length"] == s["boundary_compares"]
 
 
 def test_signature_frequent_unloads_catch_more(s27):

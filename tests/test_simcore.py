@@ -3,12 +3,7 @@ import random
 import pytest
 
 from bistlab.netlist import parse_bench
-from bistlab.simcore import (
-    PatternBatch,
-    WidthMismatch,
-    simulate_batch,
-    simulate_serial,
-)
+from bistlab.simcore import PatternBatch, WidthMismatch, simulate_batch
 
 import oracles
 from conftest import random_circuit
@@ -17,19 +12,11 @@ from conftest import random_circuit
 def test_s27_all_zero_response(s27):
     # hand-derived: G14=1, G8=G6&G14=0, G12=NOR(G1,G7)=1, G13=NOR(G2,G12)=0,
     # G11=NOR(G5,G9)=0 ... settles with G17=1 and all three next-state nets 0
-    assign = {nid: 0 for nid in s27.input_nets}
-    vals = simulate_serial(s27, assign)
-    assert vals[s27.net_id("G17")] == 1
-    assert vals[s27.net_id("G10")] == 0
-    assert vals[s27.net_id("G11")] == 0
-    assert vals[s27.net_id("G13")] == 0
-
-
-def test_serial_rejects_non_binary(s27):
-    assign = {nid: 0 for nid in s27.input_nets}
-    assign[s27.input_nets[0]] = 2
-    with pytest.raises(ValueError):
-        simulate_serial(s27, assign)
+    vals = oracles.eval_nets(s27, oracles.assign_from_word(s27, 0))
+    expect = {"G17": 1, "G10": 0, "G11": 0, "G13": 0}
+    assert {n: vals[s27.net_id(n)] for n in expect} == expect
+    out = simulate_batch(s27, PatternBatch.from_scan_words(s27, [0])).bits
+    assert {n: out[s27.net_id(n)] for n in expect} == expect
 
 
 def test_batch_equals_serial_on_random_circuits():
@@ -74,15 +61,14 @@ def test_xor_xnor_parity():
         "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(x)\nOUTPUT(y)\n"
         "x = XOR(a, b, c)\ny = XNOR(a, b, c)\n"
     )
-    for word in range(8):
-        assign = oracles.assign_from_word(net, word)
-        vals = simulate_serial(net, assign)
+    words = list(range(8))
+    resp = simulate_batch(net, PatternBatch.from_scan_words(net, words))
+    for word, got in zip(words, resp.scan_words(net)):
         parity = bin(word).count("1") % 2
-        assert vals[net.net_id("x")] == parity
-        assert vals[net.net_id("y")] == 1 - parity
+        assert got == parity | (1 - parity) << 1  # bit 0 = x, bit 1 = y
 
 
 def test_dff_refused_in_combinational_sim(s27_raw):
-    batch_nets = {nid: 0 for nid in s27_raw.input_nets}
-    with pytest.raises(ValueError):
-        simulate_serial(s27_raw, batch_nets)
+    batch = PatternBatch.from_scan_words(s27_raw, [0])
+    with pytest.raises(WidthMismatch, match="sequential element"):
+        simulate_batch(s27_raw, batch)
