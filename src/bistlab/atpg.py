@@ -2,9 +2,14 @@
 
 PODEM with an explicit decision stack over the primary and pseudo
 primary inputs. Five-valued reasoning is carried as (good, faulty)
-pairs over {0, 1, X}: both machines are re-simulated after every
-assignment, the D-frontier is read off the pair, and a backtrace guided
-by simple controllability costs picks the next input to try.
+pairs over {0, 1, X}: both machines are simulated once from the all-X
+state, and after every decision, pop or flip only the fanout cones of
+the changed inputs are re-implied. The D-frontier is read off the pair,
+and a backtrace guided by simple controllability costs picks the next
+input to try.
+
+Pool compaction and vector ranking score every candidate in one
+lane-packed fault simulation per pick.
 
 Every vector PODEM returns has been confirmed by the fault simulator;
 a budget overrun raises BacktrackLimit and is never folded into an
@@ -13,6 +18,7 @@ Untestable verdict.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 
@@ -229,13 +235,38 @@ class _Podem:
         self.producer = {g.output: g for g in net.gates}
         self.cc0, self.cc1 = _controllability(net)
         self.fanout = net.fanout()
+        self.cone = self._cone()
+
+    def _cone(self):
+        """Positions, ascending, of the gates the fault effect can reach.
+
+        Outside them good and faulty values are always equal, so no
+        other gate can join the D-frontier.
+        """
+        fault = self.fault
+        if fault.branch is None:
+            stack = [pos for pos, _pin in self.fanout[fault.net]]
+        else:
+            stack = [fault.branch[0]]
+        seen = set()
+        while stack:
+            pos = stack.pop()
+            if pos not in seen:
+                seen.add(pos)
+                stack.extend(
+                    p for p, _pin in self.fanout[self.net.gates[pos].output])
+        return sorted(seen)
 
     def run(self):
         assign = {}
         stack = []  # [net, value, tried_both]
         backtracks = 0
+        good, faulty = _sim_pair(self.net, assign, self.fault)
+        changed = []
         while True:
-            good, faulty = _sim_pair(self.net, assign, self.fault)
+            if changed:
+                self._imply(assign, changed, good, faulty)
+                changed = []
             if self._detected(good, faulty):
                 return self._fill(assign)
             obj = self._objective(good, faulty)
@@ -243,11 +274,13 @@ class _Podem:
                 pi, v = self._backtrace(*obj, good)
                 assign[pi] = v
                 stack.append([pi, v, False])
+                changed.append(pi)
                 continue
             # dead end: flip the deepest untried decision
             while stack and stack[-1][2]:
                 pi, _, _ = stack.pop()
                 del assign[pi]
+                changed.append(pi)
             if not stack:
                 return UNTESTABLE
             backtracks += 1
@@ -257,6 +290,57 @@ class _Podem:
             top[1] ^= 1
             top[2] = True
             assign[top[0]] = top[1]
+            changed.append(top[0])
+
+    def _imply(self, assign, changed, good, faulty):
+        """Bring good/faulty up to date after the changed inputs moved.
+
+        Only the fanout cones of those inputs are re-evaluated, gates in
+        position (topological) order, and a gate's readers are queued
+        only when one of its two output values changed. The values are a
+        pure function of the assignment, so the result equals
+        _sim_pair(net, assign, fault) with no undo trail.
+        """
+        fault = self.fault
+        stuck = fault.stuck
+        stem = fault.net if fault.branch is None else None
+        branch_pos, branch_pin = fault.branch or (None, None)
+        gates = self.net.gates
+        fanout = self.fanout
+        push, pop = heapq.heappush, heapq.heappop
+        heap = []
+        for nid in changed:
+            v = assign.get(nid)
+            fv = stuck if nid == stem and v is not None else v
+            if good[nid] == v and faulty[nid] == fv:
+                continue
+            good[nid] = v
+            faulty[nid] = fv
+            for pos, _pin in fanout[nid]:
+                push(heap, pos)
+        last = -1
+        while heap:
+            pos = pop(heap)
+            if pos == last:
+                continue  # a second reader pin; readers sit later in gate order
+            last = pos
+            g = gates[pos]
+            out = g.output
+            gvals = [good[i] for i in g.inputs]
+            ng = _eval3(g.kind, gvals)
+            if out == stem:
+                nf = stuck
+            else:
+                fvals = [faulty[i] for i in g.inputs]
+                if pos == branch_pos:
+                    fvals[branch_pin] = stuck
+                nf = ng if fvals == gvals else _eval3(g.kind, fvals)
+            if ng == good[out] and nf == faulty[out]:
+                continue
+            good[out] = ng
+            faulty[out] = nf
+            for rpos, _pin in fanout[out]:
+                push(heap, rpos)
 
     def _detected(self, good, faulty):
         for nid in self.observed:
@@ -268,7 +352,9 @@ class _Podem:
     def _frontier(self, good, faulty):
         """Gates with an unresolved output and a D on some input."""
         out = []
-        for pos, g in enumerate(self.net.gates):
+        gates = self.net.gates
+        for pos in self.cone:
+            g = gates[pos]
             if good[g.output] is not None and faulty[g.output] is not None:
                 continue
             for pin, i in enumerate(g.inputs):
@@ -378,20 +464,20 @@ def podem(net, fault, budget=10 ** 6, rng=None):
 def select_best_vector(net, pool, fs):
     """Pick the unconsumed vector detecting the most live faults.
 
-    Counts are re-simulated at call time. Ties go to the lowest index;
-    if nothing detects anything the lowest-index unconsumed vector is
+    Every unconsumed vector is scored against fs at call time, all of
+    them in one lane-packed count. Ties go to the lowest index; if
+    nothing detects anything the lowest-index unconsumed vector is
     returned with count 0 so the caller can decide what to do. The
     winner is marked consumed.
     """
     live = pool.unconsumed()
     if not live:
         raise PoolExhausted(f"all {len(pool)} vectors consumed")
-    best_i, best_n = live[0], -1
-    for i in live:
-        batch = PatternBatch.from_scan_words(net, [pool.vectors[i].bits])
-        n = count_new_detections(net, batch, fs)
-        if n > best_n:
-            best_i, best_n = i, n
+    batch = PatternBatch.from_scan_words(
+        net, [pool.vectors[i].bits for i in live])
+    counts = count_new_detections(net, batch, fs)
+    best_n = max(counts)
+    best_i = live[counts.index(best_n)]
     pool.consumed[best_i] = 1
     return pool.vectors[best_i], best_n
 
@@ -435,15 +521,12 @@ def build_deterministic_pool(net, fs, budget=10 ** 6, fill_seed=0, skip=()):
     detects = []
     remaining = list(raw)
     while remaining:
-        best_k, best_n = 0, -1
-        for k, vec in enumerate(remaining):
-            batch = PatternBatch.from_scan_words(net, [vec.bits])
-            n = count_new_detections(net, batch, final)
-            if n > best_n:
-                best_k, best_n = k, n
+        batch = PatternBatch.from_scan_words(net, [v.bits for v in remaining])
+        counts = count_new_detections(net, batch, final)
+        best_n = max(counts)
         if best_n <= 0:
             break
-        vec = remaining.pop(best_k)
+        vec = remaining.pop(counts.index(best_n))
         pool.add(vec)
         detects.append(best_n)
         fault_simulate(net, PatternBatch.from_scan_words(net, [vec.bits]), final)

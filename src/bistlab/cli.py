@@ -24,6 +24,7 @@ import concurrent.futures
 import itertools
 import sys
 
+from . import _polytab
 from .atpg import (
     BadChar,
     BadLength,
@@ -304,6 +305,9 @@ def _cmd_sweep(args):
                 detection_mode=args.detection_mode,
                 target_coverage=args.target_coverage,
                 cycle_budget=args.cycle_budget,
+                collapse=not args.no_collapse,
+                backtrack_budget=args.backtrack_budget,
+                vector_file=args.vector_file,
             )
             CampaignConfig(**kwargs)  # validate before any work starts
             tasks.append((bench_path, kwargs))
@@ -338,9 +342,24 @@ def _csv_field(v):
     return '"' + s.replace('"', '""') + '"' if "," in s else s
 
 
+def _missing_degrees_line():
+    """Which reference rows have no table polynomial, or None."""
+    missing = sorted((r["scan_length"], r["circuit"]) for r in reference_rows()
+                     if r["scan_length"] not in _polytab.TAPS)
+    if not missing:
+        return None
+    degrees = " or ".join(str(n) for n, _ in missing)
+    rows = " and ".join(f"{c} (scan {n})" for n, c in missing)
+    return (f"the shipped polynomial table has no degree {degrees}:"
+            f" {rows} need --poly")
+
+
 def _cmd_verify_table1(args):
     ok, lines = verify_reference()
     print("\n".join(lines))
+    note = _missing_degrees_line()
+    if note:
+        print(note)
     if not ok:
         return 3
     print("all reference rows verified")
@@ -371,6 +390,11 @@ def _add_campaign_flags(p):
                    default="direct")
     p.add_argument("--target-coverage", type=float, default=1.0)
     p.add_argument("--cycle-budget", type=int, default=10_000_000)
+    _add_pool_flags(p)
+
+
+def _add_pool_flags(p):
+    """Fault universe and deterministic-vector source of a campaign."""
     p.add_argument("--no-collapse", action="store_true")
     p.add_argument("--backtrack-budget", type=int, default=10 ** 6)
     p.add_argument("--vector-file", default=None,
@@ -423,6 +447,7 @@ def build_parser():
                    default="direct")
     p.add_argument("--target-coverage", type=float, default=1.0)
     p.add_argument("--cycle-budget", type=int, default=10_000_000)
+    _add_pool_flags(p)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)

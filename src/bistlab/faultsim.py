@@ -263,11 +263,19 @@ def fault_simulate(net, batch, fs, pattern_base=0):
 
 
 def count_new_detections(net, batch, fs):
-    """How many currently undetected faults the batch would detect.
+    """Per-lane counts of currently undetected faults each lane detects.
 
-    Pure query: fs is not modified.
+    Lanes count independently: a fault detected by several lanes counts
+    once in each of them, so lane i holds what a width-1 call on lane i
+    alone would return. Pure query: fs is not modified.
     """
-    return sum(1 for _ in _detections(net, batch, fs))
+    counts = [0] * batch.width
+    for _i, det in _detections(net, batch, fs):
+        while det:
+            low = det & -det
+            counts[low.bit_length() - 1] += 1
+            det ^= low
+    return counts
 
 
 def _response_diff(net, good, fault, observed):

@@ -12,6 +12,8 @@ from bistlab.atpg import (
     TestVector,
     UNTESTABLE,
     VectorPool,
+    _Podem,
+    _sim_pair,
     build_deterministic_pool,
     count_new_detections,
     export_vectors,
@@ -19,7 +21,13 @@ from bistlab.atpg import (
     podem,
     select_best_vector,
 )
-from bistlab.faultsim import Fault, collapse_faults, enumerate_faults, fault_simulate
+from bistlab.faultsim import (
+    Fault,
+    FaultSet,
+    collapse_faults,
+    enumerate_faults,
+    fault_simulate,
+)
 from bistlab.netlist import parse_bench
 from bistlab.simcore import PatternBatch
 
@@ -147,11 +155,11 @@ def test_count_new_detections_is_pure(c17):
     word = (1 << len(c17.input_nets)) - 1
     batch = PatternBatch.from_scan_words(c17, [word])
     before = bytes(fs.detected)
-    n = count_new_detections(c17, batch, fs)
+    n = count_new_detections(c17, batch, fs)[0]
     assert n > 0
     assert bytes(fs.detected) == before
     fault_simulate(c17, batch, fs)
-    assert count_new_detections(c17, batch, fs) == 0
+    assert count_new_detections(c17, batch, fs)[0] == 0
 
 
 def test_select_best_vector_semantics(c17):
@@ -164,7 +172,7 @@ def test_select_best_vector_semantics(c17):
     pool.add(TestVector(0, width, "unit"))
     vec, n = select_best_vector(c17, pool, fs)
     assert n == count_new_detections(
-        c17, PatternBatch.from_scan_words(c17, [all_ones]), fs)
+        c17, PatternBatch.from_scan_words(c17, [all_ones]), fs)[0]
     assert list(pool.consumed) == [1, 0, 0]
     fault_simulate(c17, PatternBatch.from_scan_words(c17, [vec.bits]), fs)
     # the zero word still finds new faults and outbids the spent duplicate
@@ -242,3 +250,189 @@ def test_pool_build_is_deterministic(s27):
     p2 = build_deterministic_pool(s27, fs2)
     assert [v.bits for v in p1.vectors] == [v.bits for v in p2.vectors]
     assert p1.detects_at_build == p2.detects_at_build
+
+
+# ------------------------------------------- incremental implication
+
+class _CheckedPodem(_Podem):
+    """Event-driven implication, checked against a full re-simulation."""
+
+    steps = 0
+
+    def _imply(self, assign, changed, good, faulty):
+        super()._imply(assign, changed, good, faulty)
+        assert (good, faulty) == _sim_pair(self.net, assign, self.fault)
+        _CheckedPodem.steps += 1
+
+
+class _ReferencePodem(_Podem):
+    """Both machines re-simulated from scratch after every step."""
+
+    def _imply(self, assign, changed, good, faulty):
+        good[:], faulty[:] = _sim_pair(self.net, assign, self.fault)
+
+
+def _podem_outcome(cls, net, fault, budget):
+    try:
+        return cls(net, fault, budget, random.Random(11)).run()
+    except BacktrackLimit as exc:
+        return ("limit", exc.fault, exc.budget)
+
+
+def _implication_cases(c17, s27):
+    rng = random.Random(23)
+    nets = [c17, s27,
+            parse_bench(RECONVERGENT, "reconv"),
+            parse_bench(CONTRADICTION, "contra")]
+    nets += [random_circuit(rng, max_gates=8) for _ in range(30)]
+    for net in nets:
+        faults = list(collapse_faults(enumerate_faults(net), net).all)
+        # stem faults on input nets are outside the enumerated universe
+        faults += [Fault(nid, v) for nid in net.input_nets for v in (0, 1)]
+        for f in faults:
+            yield net, f
+
+
+def test_incremental_implication_matches_full_resimulation(c17, s27):
+    _CheckedPodem.steps = 0
+    kinds = set()
+    for net, fault in _implication_cases(c17, s27):
+        for budget in (0, 100):
+            got = _podem_outcome(_CheckedPodem, net, fault, budget)
+            want = _podem_outcome(_ReferencePodem, net, fault, budget)
+            assert got == want, (net.name, fault, budget)
+            kinds.add("limit" if isinstance(got, tuple) else
+                      "untestable" if got is UNTESTABLE else "vector")
+    assert kinds == {"limit", "untestable", "vector"}
+    assert _CheckedPodem.steps > 1000
+
+
+def test_implication_follows_any_assignment_walk(c17, s27):
+    # PODEM's own order never unassigns the site of an input stem
+    # fault; a random walk over the inputs also covers that case.
+    rng = random.Random(29)
+    for net, fault in _implication_cases(c17, s27):
+        podem_ = _Podem(net, fault, 0, rng)
+        assign = {}
+        good, faulty = _sim_pair(net, assign, fault)
+        for _ in range(8):
+            changed = rng.sample(net.input_nets,
+                                 rng.randint(1, len(net.input_nets)))
+            for nid in changed:
+                v = rng.choice((0, 1, None))
+                if v is None:
+                    assign.pop(nid, None)
+                else:
+                    assign[nid] = v
+            podem_._imply(assign, changed, good, faulty)
+            assert (good, faulty) == _sim_pair(net, assign, fault)
+
+
+# ---------------------------------------------- lane-packed counting
+
+def _count_cases(s27):
+    rng = random.Random(41)
+    nets = [s27] + [random_circuit(rng) for _ in range(20)]
+    for net in nets:
+        fs = collapse_faults(enumerate_faults(net), net)
+        width = len(net.input_nets)
+        words = [rng.getrandbits(width) for _ in range(rng.randint(1, 9))]
+        words.append(words[0])  # a duplicate lane counts on its own
+        for i in range(len(fs)):
+            if rng.random() < 0.3:
+                fs.mark_detected(i, 0)
+        yield net, fs, words
+
+
+def _count_one(net, word, fs):
+    return count_new_detections(net, PatternBatch.from_scan_words(net, [word]),
+                                fs)[0]
+
+
+def test_lane_packed_counts_match_single_lane_calls(s27):
+    for net, fs, words in _count_cases(s27):
+        before = bytes(fs.detected)
+        batch = PatternBatch.from_scan_words(net, words)
+        counts = count_new_detections(net, batch, fs)
+        assert counts == [_count_one(net, w, fs) for w in words]
+        assert bytes(fs.detected) == before
+
+
+def _reference_pick(net, pool, fs):
+    best_i, best_n = None, -1
+    for i in pool.unconsumed():
+        n = _count_one(net, pool.vectors[i].bits, fs)
+        if n > best_n:
+            best_i, best_n = i, n
+    return best_i, best_n
+
+
+def test_select_best_vector_matches_single_lane_ranking(s27):
+    for net, fs, words in _count_cases(s27):
+        width = len(net.input_nets)
+        pool = VectorPool()
+        for w in words:
+            pool.add(TestVector(w, width, "unit"))
+        while pool.unconsumed():
+            want_i, want_n = _reference_pick(net, pool, fs)
+            vec, n = select_best_vector(net, pool, fs)
+            assert (vec, n) == (pool.vectors[want_i], want_n)
+            assert pool.consumed[want_i]
+            fault_simulate(net, PatternBatch.from_scan_words(net, [vec.bits]),
+                           fs)
+        # everything left detects nothing: the lowest index still wins
+        pool.consumed[:] = bytes(len(pool))
+        fs.detected[:] = b"\1" * len(fs)
+        vec, n = select_best_vector(net, pool, fs)
+        assert n == 0 and list(pool.consumed).index(1) == 0
+
+
+def _reference_pool(net, fs, budget, fill_seed=0):
+    """PODEM over live faults, then greedy compaction by width-1 calls."""
+    rng = random.Random(fill_seed)
+    work = FaultSet(fs.all)
+    work.detected[:] = fs.detected
+    raw, limited = [], []
+    for i, f in enumerate(work.all):
+        if work.detected[i] or fs.untestable[i]:
+            continue
+        try:
+            verdict = podem(net, f, budget, rng)
+        except BacktrackLimit:
+            limited.append(i)
+            continue
+        if verdict is UNTESTABLE:
+            continue
+        raw.append(verdict)
+        fault_simulate(net, PatternBatch.from_scan_words(net, [verdict.bits]),
+                       work)
+    final = FaultSet(fs.all)
+    final.detected[:] = fs.detected
+    vectors, detects = [], []
+    while raw:
+        counts = [_count_one(net, v.bits, final) for v in raw]
+        best_n = -1
+        for k, n in enumerate(counts):
+            if n > best_n:
+                best_k, best_n = k, n
+        if best_n <= 0:
+            break
+        vec = raw.pop(best_k)
+        vectors.append(vec)
+        detects.append(best_n)
+        fault_simulate(net, PatternBatch.from_scan_words(net, [vec.bits]),
+                       final)
+    return vectors, detects, tuple(limited)
+
+
+def test_pool_compaction_matches_single_lane_greedy(s27):
+    rng = random.Random(57)
+    cases = [(s27, 10 ** 6), (parse_bench(RECONVERGENT, "reconv"), 0)]
+    cases += [(random_circuit(rng), rng.choice((0, 100)))
+              for _ in range(20)]
+    for net, budget in cases:
+        fs = collapse_faults(enumerate_faults(net), net)
+        want = _reference_pool(net, fs, budget)
+        pool = build_deterministic_pool(net, fs, budget=budget)
+        assert (pool.vectors, pool.detects_at_build, pool.backtracked) == \
+            want, net.name

@@ -5,12 +5,26 @@ import json
 import pytest
 
 from bistlab.cli import main, read_config_file
+from bistlab.netlist import parse_bench
+from bistlab.scheduler import CampaignConfig, run_campaign
 
 AND2 = """\
 INPUT(a)
 INPUT(b)
 OUTPUT(z)
 z = AND(a, b)
+"""
+
+# One redundant fault whose proof needs backtracks, so the backtrack
+# budget, collapsing and a vector file each change the campaign.
+RECONVERGENT = """\
+INPUT(a)
+INPUT(b)
+OUTPUT(z)
+na = NOT(a)
+p = AND(a, b)
+q = AND(na, b)
+z = OR(p, q)
 """
 
 
@@ -124,6 +138,54 @@ def test_verify_table1(capsys):
     out = capsys.readouterr().out
     assert out.count("ok ") == 6
     assert "mean imp_pw" in out
+
+
+def test_verify_table1_names_missing_degrees(capsys):
+    assert run_cli("verify-table1") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "all reference rows verified"
+    assert lines[-2] == ("the shipped polynomial table has no degree 611 or"
+                         " 700: s15850.1 (scan 611) and s13207.1 (scan 700)"
+                         " need --poly")
+
+
+@pytest.mark.parametrize("flags, cfg_text, cfg_kwargs", [
+    (("--no-collapse",), "no_collapse = true\n", {"collapse": False}),
+    (("--backtrack-budget", "0"), "backtrack_budget = 0\n",
+     {"backtrack_budget": 0}),
+    (("--vector-file", "{vec}"), "vector_file = {vec}\n",
+     {"vector_file": "{vec}"}),
+])
+def test_sweep_honours_pool_flags(tmp_path, capsys, flags, cfg_text,
+                                  cfg_kwargs):
+    (tmp_path / "reconv.bench").write_text(RECONVERGENT)
+    vec = tmp_path / "one.vec"
+    vec.write_text("11\n")
+    fill = lambda v: v.format(vec=vec) if isinstance(v, str) else v
+    flags = [fill(f) for f in flags]
+    cfg_kwargs = {k: fill(v) for k, v in cfg_kwargs.items()}
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(fill(cfg_text))
+    base = ["sweep", "--bench", "reconv", "--bench-dir", str(tmp_path)]
+
+    def row(*argv):
+        assert run_cli(*argv) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line and not line.startswith("#")]
+        assert len(lines) == 2
+        return dict(zip(lines[0].split(","), lines[1].split(",")))
+
+    default = row(*base)
+    flagged = row(*base, *flags)
+    assert row("--config", str(cfg), *base) == flagged
+    assert flagged != default  # the flag reached the grid cell
+    result = run_campaign(parse_bench(RECONVERGENT, "reconv"),
+                          CampaignConfig(seed=1, **cfg_kwargs))
+    a = result.accounting
+    assert (flagged["adv"], flagged["pmdv"], flagged["cycles"]) == \
+        (str(a.adv), str(a.pmdv), str(a.cycles))
+    assert float(flagged["coverage"]) == pytest.approx(result.coverage,
+                                                       abs=1e-6)
 
 
 # -------------------------------------------------------------- config file
