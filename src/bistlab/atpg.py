@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import weakref
 from dataclasses import dataclass, field
 
 from .faultsim import FaultSet, count_new_detections, fault_simulate
@@ -167,7 +168,7 @@ def _sim_pair(net, assign, fault):
     for nid, v in assign.items():
         good[nid] = faulty[nid] = v
     if fault.branch is None and good[fault.net] is not None and \
-            fault.net in set(net.input_nets):
+            fault.net in _circuit_tables(net)[0]:
         faulty[fault.net] = fault.stuck
     for pos, g in enumerate(net.gates):
         gvals = [good[i] for i in g.inputs]
@@ -219,6 +220,23 @@ def _controllability(net):
     return cc0, cc1
 
 
+_TABLES = weakref.WeakKeyDictionary()  # netlist -> _circuit_tables(netlist)
+
+
+def _circuit_tables(net):
+    """(input set, observed set, producer map, cc0, cc1) of a netlist.
+
+    They depend on the circuit only, so they are built on the first
+    PODEM call for a netlist and shared by every fault after it.
+    """
+    tables = _TABLES.get(net)
+    if tables is None:
+        tables = _TABLES[net] = (set(net.input_nets), set(net.output_nets),
+                                 {g.output: g for g in net.gates},
+                                 *_controllability(net))
+    return tables
+
+
 _CONTROLLING = {"AND": 0, "NAND": 0, "OR": 1, "NOR": 1}
 _INVERTING = {"NAND", "NOR", "NOT", "XNOR"}
 
@@ -230,10 +248,8 @@ class _Podem:
         self.budget = budget
         self.rng = rng
         self.inputs = net.input_nets
-        self.input_set = set(self.inputs)
-        self.observed = set(net.output_nets)
-        self.producer = {g.output: g for g in net.gates}
-        self.cc0, self.cc1 = _controllability(net)
+        (self.input_set, self.observed, self.producer,
+         self.cc0, self.cc1) = _circuit_tables(net)
         self.fanout = net.fanout()
         self.cone = self._cone()
 

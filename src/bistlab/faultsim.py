@@ -7,7 +7,17 @@ single-fault: the good machine is evaluated once per batch, then each
 live fault propagates only through its cone of influence, lane masks in
 plain ints. Detection means a difference at any PO or PPO. Detected
 faults are dropped: fault_simulate and count_new_detections share one
-fault loop (_detections) that skips them.
+fault loop (_detections) that skips them: bytearray.find over the
+detected flags jumps from one live fault to the next, so a dropped fault
+costs no Python-level step. A caller that already holds the batch's good
+values passes them in (good=).
+
+Injection is lane-masked: _fault_effect forces the fault only in the
+lanes it is given. Over all lanes that is ordinary parallel-pattern
+simulation; over one lane, the other lanes never diverge and the cone
+walk visits the same gates as a width-1 call. _faulty_responses uses
+that to answer several (pattern, fault) pairs, each in its own lane,
+from one good-machine evaluation.
 """
 
 from __future__ import annotations
@@ -60,10 +70,10 @@ class FaultSet:
         self.untestable[i] = 1
 
     def detected_count(self):
-        return sum(self.detected)
+        return self.detected.count(1)
 
     def untestable_count(self):
-        return sum(self.untestable)
+        return self.untestable.count(1)
 
     def undetected_indices(self, include_untestable=False):
         return [i for i in range(len(self.all))
@@ -156,14 +166,32 @@ def collapse_faults(fs, net):
     return out
 
 
-def _fault_effect(net, good, full, fault, fanout, observed):
-    """Propagate one fault through its cone.
+def _live_indices(done, skip=None):
+    """Ascending i with done[i] == 0 (and skip[i] == 0), found at C speed.
+
+    done is re-read on every step, so flags set while the caller holds
+    index i (at i or beyond) are honoured, exactly as a plain index
+    walk would.
+    """
+    i = done.find(0)
+    while i >= 0:
+        if skip is None or not skip[i]:
+            yield i
+        i = done.find(0, i + 1)
+
+
+def _fault_effect(net, good, full, fault, fanout, observed, lanes):
+    """Propagate one fault through its cone, injected in `lanes` only.
 
     Returns (det_mask, fval): lanes where any observed net differs, and
-    the faulty values of every net that diverged.
+    the faulty values of every net that diverged. Lanes outside `lanes`
+    keep their good values; with lanes == full every lane is faulty.
     """
     gates = net.gates
-    forced = full if fault.stuck else 0
+    site = good[fault.net]
+    forced = site | lanes if fault.stuck else site & ~lanes
+    if forced == site:
+        return 0, {}
     fval = {}
     det = 0
     heap = []
@@ -175,16 +203,12 @@ def _fault_effect(net, good, full, fault, fanout, observed):
             heapq.heappush(heap, pos)
 
     if fault.branch is None:
-        if forced == good[fault.net]:
-            return 0, fval
         fval[fault.net] = forced
         if fault.net in observed:
-            det |= forced ^ good[fault.net]
+            det |= forced ^ site
         for pos, _pin in fanout[fault.net]:
             push(pos)
     else:
-        if forced == good[fault.net]:
-            return 0, fval
         push(fault.branch[0])
 
     while heap:
@@ -228,34 +252,37 @@ def _fault_effect(net, good, full, fault, fanout, observed):
     return det, fval
 
 
-def _detections(net, batch, fs):
+def _detections(net, batch, fs, good=None):
     """Undetected faults the batch exposes, as (index, detecting lanes).
 
-    The one fault loop behind fault_simulate and count_new_detections;
-    the good machine is evaluated once per call.
+    The one fault loop behind fault_simulate and count_new_detections.
+    good, when given, is _evaluate(net, batch); else it is computed
+    here, so the good machine is evaluated at most once per call.
     """
-    good = _evaluate(net, batch)
+    if good is None:
+        good = _evaluate(net, batch)
     full = (1 << batch.width) - 1
     observed = set(net.output_nets)
     fanout = net.fanout()
-    detected = fs.detected
-    for i, f in enumerate(fs.all):
-        if detected[i]:
-            continue
-        det, _ = _fault_effect(net, good, full, f, fanout, observed)
+    faults = fs.all
+    for i in _live_indices(fs.detected):
+        det, _ = _fault_effect(net, good, full, faults[i], fanout, observed,
+                               full)
         if det:
             yield i, det
 
 
-def fault_simulate(net, batch, fs, pattern_base=0):
+def fault_simulate(net, batch, fs, pattern_base=0, good=None):
     """Simulate every undetected fault against the batch.
 
     Updates fs in place and returns per-lane newly-detected counts;
     when several lanes detect the same fault the earliest lane claims
     it. pattern_base is added to the lane index for detector records.
+    good optionally supplies the batch's good values (_evaluate's
+    result) so a caller that needs them too evaluates only once.
     """
     counts = [0] * batch.width
-    for i, det in _detections(net, batch, fs):
+    for i, det in _detections(net, batch, fs, good):
         lane = (det & -det).bit_length() - 1
         fs.mark_detected(i, pattern_base + lane)
         counts[lane] += 1
@@ -278,26 +305,43 @@ def count_new_detections(net, batch, fs):
     return counts
 
 
-def _response_diff(net, good, fault, observed):
-    """Observed bits one fault flips, given width-1 good values.
+def _response_diff(net, good, fault, observed, full=1, lane=0):
+    """Observed bits one fault flips in one lane of an evaluation.
 
-    Bit j is the j-th output net (POs then PPOs), as in a response word.
+    The fault is injected in that lane only; the default is a width-1
+    evaluation. Bit j is the j-th output net (POs then PPOs), as in a
+    response word.
     """
-    det, fval = _fault_effect(net, good, 1, fault, net.fanout(), observed)
+    det, fval = _fault_effect(net, good, full, fault, net.fanout(), observed,
+                              1 << lane)
     if not det:
         return 0
     diff = 0
     for j, nid in enumerate(net.output_nets):
         if nid in fval:
-            diff |= (fval[nid] ^ good[nid]) << j
+            diff |= ((fval[nid] ^ good[nid]) >> lane) << j
     return diff
+
+
+def _faulty_responses(net, words, faults):
+    """Faulty response words: lane k answers words[k] with faults[k].
+
+    One good-machine evaluation serves every pair; each fault is
+    injected in its own lane only. No pairs, no evaluation.
+    """
+    if not words:
+        return []
+    good = _evaluate(net, PatternBatch.from_scan_words(net, words))
+    full = (1 << len(words)) - 1
+    observed = set(net.output_nets)
+    return [_response_word(net, good, k)
+            ^ _response_diff(net, good, f, observed, full, k)
+            for k, f in enumerate(faults)]
 
 
 def faulty_response_word(net, word, fault):
     """Response word of the faulty machine for one scan word."""
-    good = _evaluate(net, PatternBatch.from_scan_words(net, [word]))
-    observed = set(net.output_nets)
-    return _response_word(net, good) ^ _response_diff(net, good, fault, observed)
+    return _faulty_responses(net, [word], [fault])[0]
 
 
 def fault_name(net, fault):

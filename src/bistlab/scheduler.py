@@ -44,11 +44,12 @@ from .atpg import (
     select_best_vector,
 )
 from .faultsim import (
+    _faulty_responses,
+    _live_indices,
     _response_diff,
     collapse_faults,
     enumerate_faults,
     fault_simulate,
-    faulty_response_word,
 )
 from .netlist import circuit_profile, full_scan_transform
 from .registers import (
@@ -247,9 +248,8 @@ class _DeterministicProvider:
             if not self.refreshable:
                 # a fixed file is applied as given, useful or not
                 return (vec, count) if vec is not None else None
-            live = any(not (fs.detected[i] or fs.untestable[i])
-                       for i in range(len(fs.all)))
-            if not live or self._refresh(fs) == 0:
+            live = next(_live_indices(fs.detected, fs.untestable), None)
+            if live is None or self._refresh(fs) == 0:
                 return None
             # else reselect over the regrown pool
 
@@ -278,15 +278,10 @@ class _SignatureOverlay:
         self.compares = 0
         self._observed = set(net.output_nets)
 
-    def _live(self):
-        for i in range(len(self.fs.all)):
-            if not self.sig_detected[i] and not self.fs.untestable[i]:
-                yield i
-
     def absorb_responses(self, good_nets):
         """Note which in-sync faults answered the current pattern wrong."""
         self.pending_diff.clear()
-        for i in self._live():
+        for i in _live_indices(self.sig_detected, self.fs.untestable):
             if i in self.shadows:
                 continue
             diff = _response_diff(self.net, good_nets, self.fs.all[i],
@@ -299,8 +294,9 @@ class _SignatureOverlay:
 
         Called right after the golden generator stepped, with the
         schedule position it stepped from. Diverged machines run their
-        own full pattern/response loop; machines that just produced
-        their first wrong response split off algebraically, since the
+        own full pattern/response loop, all of them in one evaluation
+        with one lane per machine; machines that just produced their
+        first wrong response split off algebraically, since the
         register update is linear and a response difference d lands as
         fold(d) after the compress clock and as L(fold(d)) after the
         generate clock.
@@ -309,8 +305,10 @@ class _SignatureOverlay:
         sched = cfg.poly_schedule
         n = cfg.width
         L = len(sched)
-        for i, st in list(self.shadows.items()):
-            resp = faulty_response_word(self.net, st.bits, self.fs.all[i])
+        shadows = list(self.shadows.items())
+        resps = _faulty_responses(self.net, [st.bits for _i, st in shadows],
+                                  [self.fs.all[i] for i, _st in shadows])
+        for (i, st), resp in zip(shadows, resps):
             misr = (next_lfsr(st, sched[schedule_index % L]).bits
                     ^ fold_response(resp, n))
             if mode.ms == 0:
@@ -346,7 +344,7 @@ class _SignatureOverlay:
 
     def stats(self):
         return {
-            "detected": sum(self.sig_detected),
+            "detected": self.sig_detected.count(1),
             "aliased_events": self.aliased_events,
             "fold_masked": self.fold_masked,
             "boundary_compares": self.compares,
@@ -421,20 +419,25 @@ class CampaignState:
         cov = self.coverage()
         self.events.append((self.acct.cycles, event, self.phase, new, cov))
 
-    def _respond(self, batch):
-        """Record the good response to a one-pattern batch; feed the overlay."""
-        good = _evaluate(self.net, batch)
+    def _respond(self, good):
+        """Keep the good response of a width-1 evaluation; feed the overlay."""
         self.last_response = _response_word(self.net, good)
         if self.overlay is not None:
             self.overlay.absorb_responses(good)
 
     def _simulate(self, word):
-        """Apply one fully-specified pattern; returns new detections."""
+        """Apply one fully-specified pattern; returns new detections.
+
+        The pattern's good values are evaluated once, here, and shared
+        by the fault simulation, the response and the overlay.
+        """
         batch = PatternBatch.from_scan_words(self.net, [word])
+        good = _evaluate(self.net, batch)
         counts = fault_simulate(
-            self.net, batch, self.fs, pattern_base=self.pattern_index
+            self.net, batch, self.fs, pattern_base=self.pattern_index,
+            good=good,
         )
-        self._respond(batch)
+        self._respond(good)
         self.pattern_index += 1
         return counts[0]
 
@@ -447,8 +450,9 @@ class CampaignState:
         clock will absorb that answer.
         """
         if self.last_response is None:
-            self._respond(
-                PatternBatch.from_scan_words(self.net, [self.gen.state.bits]))
+            self._respond(_evaluate(
+                self.net,
+                PatternBatch.from_scan_words(self.net, [self.gen.state.bits])))
 
     # -- the two cycle-charging operations ----------------------------------
 

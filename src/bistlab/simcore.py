@@ -44,14 +44,8 @@ class ResponseBatch:
 
     def scan_words(self, net):
         """Repack as response words (bit j = j-th output net)."""
-        outs = net.output_nets
-        words = []
-        for lane in range(self.width):
-            w = 0
-            for j, nid in enumerate(outs):
-                w |= ((self.bits[nid] >> lane) & 1) << j
-            words.append(w)
-        return words
+        return [_response_word(net, self.bits, lane)
+                for lane in range(self.width)]
 
 
 def _evaluate(net, batch):
@@ -92,11 +86,11 @@ def _evaluate(net, batch):
     return values
 
 
-def _response_word(net, values):
-    """Response word of a width-1 evaluation (bit j = j-th output net)."""
+def _response_word(net, values, lane=0):
+    """Response word of one lane of an evaluation (bit j = j-th output net)."""
     w = 0
     for j, nid in enumerate(net.output_nets):
-        w |= values[nid] << j
+        w |= (values[nid] >> lane & 1) << j
     return w
 
 

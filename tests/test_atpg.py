@@ -13,6 +13,8 @@ from bistlab.atpg import (
     UNTESTABLE,
     VectorPool,
     _Podem,
+    _circuit_tables,
+    _controllability,
     _sim_pair,
     build_deterministic_pool,
     count_new_detections,
@@ -250,6 +252,28 @@ def test_pool_build_is_deterministic(s27):
     p2 = build_deterministic_pool(s27, fs2)
     assert [v.bits for v in p1.vectors] == [v.bits for v in p2.vectors]
     assert p1.detects_at_build == p2.detects_at_build
+
+
+def test_circuit_tables_built_once_per_netlist(s27, monkeypatch):
+    from bistlab import atpg
+
+    builds = []
+    monkeypatch.setattr(atpg, "_controllability",
+                        lambda net: builds.append(net) or _controllability(net))
+    net = parse_bench(
+        "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nn = NAND(a, b)\nz = NOT(n)\n")
+    fs = collapse_faults(enumerate_faults(net), net)
+    build_deterministic_pool(net, fs)
+    build_deterministic_pool(net, fs)
+    assert builds == [net]
+    first, second = (_Podem(net, f, 0, random.Random(0)) for f in fs.all[:2])
+    assert first.producer is second.producer and first.cc0 is second.cc0
+    # a different netlist gets its own tables, equal to a fresh build
+    input_set, observed, producer, cc0, cc1 = _circuit_tables(s27)
+    assert input_set == set(s27.input_nets)
+    assert observed == set(s27.output_nets)
+    assert producer == {g.output: g for g in s27.gates}
+    assert (cc0, cc1) == _controllability(s27)
 
 
 # ------------------------------------------- incremental implication

@@ -7,6 +7,10 @@ import pytest
 from bistlab.faultsim import (
     Fault,
     FaultSet,
+    _fault_effect,
+    _faulty_responses,
+    _live_indices,
+    _response_diff,
     collapse_faults,
     enumerate_faults,
     export_faults,
@@ -15,7 +19,7 @@ from bistlab.faultsim import (
     faulty_response_word,
 )
 from bistlab.netlist import parse_bench
-from bistlab.simcore import PatternBatch
+from bistlab.simcore import PatternBatch, _evaluate
 
 from conftest import random_circuit
 from oracles import assign_from_word, detects, eval_nets, response_bits
@@ -165,6 +169,64 @@ def test_faulty_response_matches_oracle():
                 assert got == want, (net.name, w, f)
 
 
+@pytest.mark.parametrize("name", ["c17", "s27"])
+def test_lane_masked_injection_matches_width_one(name, request):
+    """Each lane of a W-lane call, fault injected there alone, equals a
+    width-1 call on that lane's pattern: same detection, same diverged
+    nets, same response diff; every other lane keeps its good value."""
+    net = request.getfixturevalue(name)
+    fs = collapse_faults(enumerate_faults(net), net)
+    width = len(net.input_nets)
+    words = list(range(1 << width)) if width <= 5 else \
+        [random.Random(9).getrandbits(width) for _ in range(40)]
+    good = _evaluate(net, PatternBatch.from_scan_words(net, words))
+    full = (1 << len(words)) - 1
+    fanout, observed = net.fanout(), set(net.output_nets)
+    singles = [_evaluate(net, PatternBatch.from_scan_words(net, [w]))
+               for w in words]
+    for f in fs.all:
+        for lane, one in enumerate(singles):
+            det1, fval1 = _fault_effect(net, one, 1, f, fanout, observed, 1)
+            det, fval = _fault_effect(net, good, full, f, fanout, observed,
+                                      1 << lane)
+            assert det == det1 << lane, (f, lane)
+            assert set(fval) == set(fval1), (f, lane)
+            for nid, v in fval.items():
+                assert v ^ good[nid] == (fval1[nid] ^ one[nid]) << lane
+            assert _response_diff(net, good, f, observed, full, lane) == \
+                _response_diff(net, one, f, observed), (f, lane)
+
+
+def test_faulty_responses_one_fault_per_lane():
+    rng = random.Random(31)
+    for _ in range(20):
+        net = random_circuit(rng)
+        faults = list(enumerate_faults(net).all)
+        rng.shuffle(faults)
+        words = [rng.getrandbits(len(net.input_nets)) for _ in faults]
+        got = _faulty_responses(net, words, faults)
+        for w, f, resp in zip(words, faults, got):
+            assert resp == faulty_response_word(net, w, f)
+            want = response_bits(net, assign_from_word(net, w), f)
+            assert resp == _response_word(net, want), (net.name, w, f)
+    assert _faulty_responses(net, [], []) == []
+
+
+def test_live_indices_follow_flags_set_during_the_walk():
+    done = bytearray([0, 1, 0, 0, 1, 0, 0])
+    skip = bytearray([0, 0, 0, 1, 0, 0, 0])
+    assert list(_live_indices(done)) == [0, 2, 3, 5, 6]
+    assert list(_live_indices(done, skip)) == [0, 2, 5, 6]
+    seen = []
+    for i in _live_indices(done):
+        seen.append(i)
+        done[i] = 1
+        if i == 2:
+            done[5] = 1  # a later fault dropped mid-walk is not visited
+    assert seen == [0, 2, 3, 6]
+    assert list(_live_indices(done)) == []
+
+
 def test_fault_simulate_matches_oracle_detection():
     rng = random.Random(77)
     for _ in range(20):
@@ -212,6 +274,16 @@ def test_pattern_base_offsets_detector(c17):
     assert all(v == 100 for v in fs.detector.values())
 
 
+def test_shared_good_values_change_nothing(c17):
+    rng = random.Random(12)
+    words = [rng.getrandbits(len(c17.input_nets)) for _ in range(6)]
+    batch = PatternBatch.from_scan_words(c17, words)
+    fresh, shared = enumerate_faults(c17), enumerate_faults(c17)
+    assert fault_simulate(c17, batch, fresh) == \
+        fault_simulate(c17, batch, shared, good=_evaluate(c17, batch))
+    assert fresh.detector == shared.detector
+
+
 def test_dropped_faults_not_recounted(c17):
     word = (1 << len(c17.input_nets)) - 1
     batch = PatternBatch.from_scan_words(c17, [word])
@@ -237,6 +309,7 @@ def test_coverage_metrics():
     assert fs.testable_coverage() == pytest.approx(1 / 3)
     assert fs.undetected_indices() == [1, 2]
     assert fs.undetected_indices(include_untestable=True) == [1, 2, 3]
+    assert (fs.detected_count(), fs.untestable_count()) == (1, 1)
 
 
 def test_empty_set_coverage_is_one():

@@ -110,6 +110,41 @@ def test_forward_references_allowed():
         seen.add(g.output)
 
 
+OUT_OF_ORDER = "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(n, b)\nn = NOT(a)\n"
+
+
+def test_out_of_order_file_is_levelized_at_parse():
+    from bistlab.scheduler import CampaignConfig, run_campaign
+    from bistlab.simcore import PatternBatch, simulate_batch
+
+    net = parse_bench(OUT_OF_ORDER)
+    assert [g.name for g in net.gates] == ["n", "z"]
+    # a=0, b=1 in lane 0; a=1, b=1 in lane 1
+    batch = PatternBatch.from_scan_words(net, [0b10, 0b11])
+    z = simulate_batch(net, batch).bits[net.net_id("z")]
+    assert z == 0b01
+    r = run_campaign(net, CampaignConfig(seed=1))
+    assert r.coverage == 1.0
+    # the order check is what reports a loop now, at parse time
+    with pytest.raises(CombinationalCycle):
+        parse_bench("INPUT(a)\nOUTPUT(z)\nz = AND(a, z)\n")
+
+
+def test_ordered_file_keeps_file_order(c17):
+    assert [g.name for g in c17.gates] == ["10", "11", "16", "19", "22", "23"]
+    assert [g.id for g in c17.gates] == list(range(6))
+
+
+def test_raw_s27_is_topological_with_dffs_last(s27_raw):
+    ready = set(s27_raw.input_nets)
+    ready.update(g.output for g in s27_raw.gates if g.kind == "DFF")
+    kinds = [g.kind for g in s27_raw.gates]
+    assert kinds[-3:] == ["DFF"] * 3 and "DFF" not in kinds[:-3]
+    for g in s27_raw.gates[:-3]:
+        assert all(i in ready for i in g.inputs), g.name
+        ready.add(g.output)
+
+
 def test_dangling_net_warns(caplog):
     with caplog.at_level(logging.WARNING):
         parse_bench("INPUT(a)\nOUTPUT(z)\nz = NOT(a)\norphan = BUFF(a)\n")

@@ -1,14 +1,22 @@
 """Two-phase campaign: thresholds, cycle accounting, termination paths."""
 
 import math
+import random
+import sys
 
 import pytest
 
+from bistlab import atpg, scheduler, simcore
 from bistlab.atpg import TestVector
 from bistlab.cli import main
-from bistlab.registers import DegreeMismatch
+from bistlab.registers import (
+    DegreeMismatch,
+    RegisterState,
+    fold_response,
+    next_lfsr,
+)
 from bistlab.netlist import circuit_profile, full_scan_transform, load_bench, parse_bench
-from bistlab.faultsim import collapse_faults, enumerate_faults
+from bistlab.faultsim import collapse_faults, enumerate_faults, faulty_response_word
 from bistlab.scheduler import (
     CampaignConfig,
     CampaignState,
@@ -18,7 +26,10 @@ from bistlab.scheduler import (
     export_event_log,
     run_campaign,
     _random_burst,
+    _SignatureOverlay,
 )
+
+from conftest import random_circuit
 
 AND2 = """\
 INPUT(a)
@@ -367,6 +378,126 @@ def test_signature_overlay_size_gate(s27):
                                          shadow_limit=1))
     assert r.signature is None  # too big by configuration, direct counts stand
     assert r.coverage == 1.0
+
+
+class _RecordedOverlay(_SignatureOverlay):
+    made = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.made.append(self)
+
+
+class _WidthOneOverlay(_RecordedOverlay):
+    """Reference: every diverged shadow answers its own pattern with its
+    own width-1 faulty_response_word call, one evaluation each."""
+
+    def step(self, mode, schedule_index, golden_next):
+        sched = self.gen.cfg.poly_schedule
+        n = self.gen.cfg.width
+        L = len(sched)
+        for i, st in list(self.shadows.items()):
+            resp = faulty_response_word(self.net, st.bits, self.fs.all[i])
+            misr = (next_lfsr(st, sched[schedule_index % L]).bits
+                    ^ fold_response(resp, n))
+            if mode.ms == 0:
+                misr = next_lfsr(RegisterState(n, misr),
+                                 sched[(schedule_index + 1) % L]).bits
+            self.shadows[i] = RegisterState(n, misr)
+        for i, diff in self.pending_diff.items():
+            d = fold_response(diff, n)
+            if mode.ms == 0:
+                d = next_lfsr(RegisterState(n, d),
+                              sched[(schedule_index + 1) % L]).bits
+            if d:
+                self.shadows[i] = RegisterState(n, golden_next ^ d)
+            else:
+                self.fold_masked += 1
+        self.pending_diff.clear()
+
+
+def test_batched_shadows_match_width_one_reference(monkeypatch):
+    rng = random.Random(15)
+    # random circuits often have more outputs than inputs (the scan
+    # length), so response folding can cancel a diff: fold_masked
+    nets = [load_bench("c17"), load_bench("s27")]
+    nets += [random_circuit(rng, max_gates=16, name=f"r{k}") for k in range(30)]
+    totals = {"aliased_events": 0, "fold_masked": 0}
+    for net in nets:
+        for interval in (1, 4, 32):
+            cfg = CampaignConfig(seed=1, detection_mode="signature",
+                                 unload_interval=interval)
+            runs = []
+            for cls in (_RecordedOverlay, _WidthOneOverlay):
+                monkeypatch.setattr(scheduler, "_SignatureOverlay", cls)
+                _RecordedOverlay.made.clear()
+                r = run_campaign(net, cfg)
+                (overlay,) = _RecordedOverlay.made
+                runs.append((r.signature, export_event_log(r),
+                             bytes(overlay.sig_detected)))
+            assert runs[0] == runs[1], (net.name, interval)
+            for key in totals:
+                totals[key] += runs[0][0][key]
+    assert totals["aliased_events"] > 0 and totals["fold_masked"] > 0
+
+
+@pytest.mark.parametrize("vectors,interval", [
+    ("6 words", 4), ("6 words", 32), ("empty", 8)])
+def test_one_evaluation_per_pattern_and_per_shadow_step(
+        vectors, interval, tmp_path, monkeypatch):
+    """Guard: good-machine evaluations in a signature campaign are one
+    per applied pattern, one per overlay step with any shadow, one per
+    ranking call, plus one if the seed response had to be primed."""
+    rng = random.Random(5)
+    vf = tmp_path / "s27.vec"
+    vf.write_text("" if vectors == "empty" else "".join(
+        f"{rng.getrandbits(7):07b}\n" for _ in range(6)))
+    seen = {"evaluate": 0, "ranking": 0, "shadow_steps": 0,
+            "widest_step": 0, "primed": 0}
+    real_evaluate = simcore._evaluate
+
+    def evaluate(*args):
+        seen["evaluate"] += 1
+        return real_evaluate(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "bistlab" or name.startswith("bistlab."):
+            for attr, value in list(vars(mod).items()):
+                if value is real_evaluate:
+                    monkeypatch.setattr(mod, attr, evaluate)
+    real_count = atpg.count_new_detections
+
+    def count(*args):
+        seen["ranking"] += 1
+        return real_count(*args)
+
+    monkeypatch.setattr(atpg, "count_new_detections", count)
+    real_step = _SignatureOverlay.step
+
+    def step(self, *args):
+        if self.shadows:
+            seen["shadow_steps"] += 1
+            seen["widest_step"] = max(seen["widest_step"], len(self.shadows))
+        return real_step(self, *args)
+
+    monkeypatch.setattr(_SignatureOverlay, "step", step)
+    real_prime = CampaignState._prime_response
+
+    def prime(self):
+        seen["primed"] += self.last_response is None
+        return real_prime(self)
+
+    monkeypatch.setattr(CampaignState, "_prime_response", prime)
+    r = run_campaign(load_bench("s27"), CampaignConfig(
+        seed=1, detection_mode="signature", unload_interval=interval,
+        vector_file=str(vf), th2=8))
+    a = r.accounting
+    patterns = a.pmdv + a.prtp_ph1 + a.prtp_ph2
+    assert seen["evaluate"] == (patterns + seen["shadow_steps"]
+                                + seen["ranking"] + seen["primed"]), seen
+    # the guard only bites if some step carries several shadows
+    assert seen["widest_step"] >= 2
+    assert seen["primed"] == (vectors == "empty")
 
 
 def test_summary_mentions_the_verdict(s27_result):
