@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import random
-import weakref
 from dataclasses import dataclass, field
 
 from .faultsim import FaultSet, count_new_detections, fault_simulate
@@ -168,7 +167,7 @@ def _sim_pair(net, assign, fault):
     for nid, v in assign.items():
         good[nid] = faulty[nid] = v
     if fault.branch is None and good[fault.net] is not None and \
-            fault.net in _circuit_tables(net)[0]:
+            fault.net in net.input_nets:
         faulty[fault.net] = fault.stuck
     for pos, g in enumerate(net.gates):
         gvals = [good[i] for i in g.inputs]
@@ -220,21 +219,14 @@ def _controllability(net):
     return cc0, cc1
 
 
-_TABLES = weakref.WeakKeyDictionary()  # netlist -> _circuit_tables(netlist)
-
-
 def _circuit_tables(net):
     """(input set, observed set, producer map, cc0, cc1) of a netlist.
 
-    They depend on the circuit only, so they are built on the first
-    PODEM call for a netlist and shared by every fault after it.
+    They depend on the circuit only; build_deterministic_pool builds
+    them once and shares them with every PODEM call it makes.
     """
-    tables = _TABLES.get(net)
-    if tables is None:
-        tables = _TABLES[net] = (set(net.input_nets), set(net.output_nets),
-                                 {g.output: g for g in net.gates},
-                                 *_controllability(net))
-    return tables
+    return (set(net.input_nets), set(net.output_nets),
+            {g.output: g for g in net.gates}, *_controllability(net))
 
 
 _CONTROLLING = {"AND": 0, "NAND": 0, "OR": 1, "NOR": 1}
@@ -242,14 +234,14 @@ _INVERTING = {"NAND", "NOR", "NOT", "XNOR"}
 
 
 class _Podem:
-    def __init__(self, net, fault, budget, rng):
+    def __init__(self, net, fault, budget, rng, tables=None):
         self.net = net
         self.fault = fault
         self.budget = budget
         self.rng = rng
         self.inputs = net.input_nets
         (self.input_set, self.observed, self.producer,
-         self.cc0, self.cc1) = _circuit_tables(net)
+         self.cc0, self.cc1) = tables or _circuit_tables(net)
         self.fanout = net.fanout()
         self.cone = self._cone()
 
@@ -458,16 +450,17 @@ class _Podem:
         return TestVector(bits, len(self.inputs), "podem")
 
 
-def podem(net, fault, budget=10 ** 6, rng=None):
+def podem(net, fault, budget=10 ** 6, rng=None, tables=None):
     """Generate a vector for one fault, prove it untestable, or give up.
 
     Returns a TestVector or UNTESTABLE; raises BacktrackLimit when the
     budget runs out. The returned vector is always re-checked with the
-    fault simulator before being handed back.
+    fault simulator before being handed back. ``tables`` is
+    ``_circuit_tables(net)``, passed in to share it across calls.
     """
     if rng is None:
         rng = random.Random(0)
-    result = _Podem(net, fault, budget, rng).run()
+    result = _Podem(net, fault, budget, rng, tables).run()
     if result is UNTESTABLE:
         return result
     probe = FaultSet([fault])
@@ -509,6 +502,7 @@ def build_deterministic_pool(net, fs, budget=10 ** 6, fill_seed=0, skip=()):
     (the search is deterministic, a retry would fail the same way).
     """
     rng = random.Random(fill_seed)
+    tables = _circuit_tables(net)
     work = FaultSet(fs.all)
     work.detected[:] = fs.detected
     work.untestable[:] = fs.untestable
@@ -518,7 +512,7 @@ def build_deterministic_pool(net, fs, budget=10 ** 6, fill_seed=0, skip=()):
         if work.detected[i] or work.untestable[i] or i in skip:
             continue
         try:
-            verdict = podem(net, work.all[i], budget, rng)
+            verdict = podem(net, work.all[i], budget, rng, tables)
         except BacktrackLimit:
             limited.append(i)
             continue

@@ -3,9 +3,8 @@
 Parses .bench text into a gate graph with dense integer net ids, applies
 the full-scan transform (flip-flops become pseudo primary inputs and
 outputs), and levelizes the combinational core so the simulation engines
-can evaluate gates in one forward pass. parse_bench already levelizes a
-file whose combinational gates are not in topological order, so every
-parsed netlist can be simulated as it stands.
+can evaluate gates in one forward pass. parse_bench returns every
+netlist levelized, flip-flops last, so it can be simulated as it stands.
 
 Net ids are assigned in declaration order and survive every transform;
 only gate order and gate ids change when a netlist is levelized.
@@ -144,9 +143,9 @@ _GATE_RE = re.compile(
 def parse_bench(text, name="circuit"):
     """Parse .bench text. Raises the specific NetlistError subclasses.
 
-    Gates keep file order unless a combinational gate reads a net driven
-    further down the file; then the netlist is levelized (which raises
-    CombinationalCycle on a loop).
+    The netlist is levelized: combinational gates in topological order
+    (file order where the file allows it), flip-flops last. A
+    combinational loop raises CombinationalCycle.
     """
     pi_names = []
     po_names = []
@@ -225,24 +224,7 @@ def parse_bench(text, name="circuit"):
         logger.warning("%s: %d dangling internal net(s): %s", name,
                        len(dangling), ", ".join(sorted(dangling)))
 
-    net = Netlist(name, gates, net_names, pi_ids, po_ids)
-    return levelize(net) if _out_of_order(gates) else net
-
-
-def _out_of_order(gates):
-    """Does a combinational gate read a net that it or a later one drives?
-
-    The simulation engines evaluate gates in one forward pass, so such a
-    netlist must be levelized; one that is already ordered is kept as
-    written.
-    """
-    producer = {g.output: pos for pos, g in enumerate(gates) if g.kind != "DFF"}
-    for pos, g in enumerate(gates):
-        if g.kind != "DFF":
-            for nid in g.inputs:
-                if producer.get(nid, -1) >= pos:
-                    return True
-    return False
+    return levelize(Netlist(name, gates, net_names, pi_ids, po_ids))
 
 
 def levelize(net):

@@ -254,7 +254,7 @@ def test_pool_build_is_deterministic(s27):
     assert p1.detects_at_build == p2.detects_at_build
 
 
-def test_circuit_tables_built_once_per_netlist(s27, monkeypatch):
+def test_circuit_tables_built_once_per_pool(s27, monkeypatch):
     from bistlab import atpg
 
     builds = []
@@ -263,12 +263,16 @@ def test_circuit_tables_built_once_per_netlist(s27, monkeypatch):
     net = parse_bench(
         "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nn = NAND(a, b)\nz = NOT(n)\n")
     fs = collapse_faults(enumerate_faults(net), net)
+    assert len(fs.all) > 1
     build_deterministic_pool(net, fs)
-    build_deterministic_pool(net, fs)
-    assert builds == [net]
-    first, second = (_Podem(net, f, 0, random.Random(0)) for f in fs.all[:2])
+    assert builds == [net]  # one build shared by every PODEM call
+    tables = _circuit_tables(net)
+    builds.clear()
+    first, second = (_Podem(net, f, 0, random.Random(0), tables)
+                     for f in fs.all[:2])
+    assert builds == []
     assert first.producer is second.producer and first.cc0 is second.cc0
-    # a different netlist gets its own tables, equal to a fresh build
+    assert podem(net, fs.all[0], tables=tables) == podem(net, fs.all[0])
     input_set, observed, producer, cc0, cc1 = _circuit_tables(s27)
     assert input_set == set(s27.input_nets)
     assert observed == set(s27.output_nets)
