@@ -138,6 +138,7 @@ class Netlist:
 _DECL_RE = re.compile(r"^(INPUT|OUTPUT)\s*\(\s*([^\s(),=]+)\s*\)$", re.IGNORECASE)
 _GATE_RE = re.compile(
     r"^([^\s=(),]+)\s*=\s*([A-Za-z][A-Za-z0-9_]*)\s*\(\s*(.*?)\s*\)$")
+_BAD_NAME_CHAR = re.compile(r"[\s(),=]")
 
 
 def parse_bench(text, name="circuit"):
@@ -178,7 +179,7 @@ def parse_bench(text, name="circuit"):
             if kind not in ALL_KINDS:
                 raise UnsupportedGate(f"line {line_no}: unknown gate kind {kind!r}")
             ins = [a.strip() for a in argtext.split(",")] if argtext.strip() else []
-            if not ins or any(not a or re.search(r"[\s(),=]", a) for a in ins):
+            if not ins or any(not a or _BAD_NAME_CHAR.search(a) for a in ins):
                 raise BenchSyntaxError("malformed input list", line_no)
             if kind in UNARY_KINDS and len(ins) != 1:
                 raise BenchSyntaxError(
@@ -285,7 +286,7 @@ def levelize(net):
         raise CombinationalCycle(cyc)
 
     order.extend(dffs)
-    gates = [Gate(i, g.kind, g.inputs, g.output, g.name)
+    gates = [g if g.id == i else Gate(i, g.kind, g.inputs, g.output, g.name)
              for i, g in enumerate(order)]
     return Netlist(net.name, gates, net.net_names, net.primary_inputs,
                    net.primary_outputs, net.ppi_nets, net.ppo_nets)

@@ -68,6 +68,13 @@ def test_syntax_error_carries_line_number():
     assert exc.value.line_no == 3
 
 
+@pytest.mark.parametrize("args", ["a b, b", "a, ", "a, (b)", "a, b=c"])
+def test_malformed_input_list(args):
+    with pytest.raises(BenchSyntaxError) as exc:
+        parse_bench(f"INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND({args})\n")
+    assert exc.value.line_no == 4
+
+
 def test_unary_gate_arity_enforced():
     with pytest.raises(BenchSyntaxError):
         parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = NOT(a, b)\n")
@@ -140,6 +147,7 @@ def test_raw_s27_is_topological_with_dffs_last(s27_raw):
     ready.update(g.output for g in s27_raw.gates if g.kind == "DFF")
     kinds = [g.kind for g in s27_raw.gates]
     assert kinds[-3:] == ["DFF"] * 3 and "DFF" not in kinds[:-3]
+    assert [g.id for g in s27_raw.gates] == list(range(len(kinds)))
     for g in s27_raw.gates[:-3]:
         assert all(i in ready for i in g.inputs), g.name
         ready.add(g.output)
