@@ -6,7 +6,8 @@ pairs over {0, 1, X}: both machines are simulated once from the all-X
 state, and after every decision, pop or flip only the fanout cones of
 the changed inputs are re-implied. The D-frontier is read off the pair,
 and a backtrace guided by simple controllability costs picks the next
-input to try.
+input to try. Three-valued evaluation, the costs and the backtrace's
+choices all derive from each gate's rule in netlist.GATE_RULES.
 
 Pool compaction and vector ranking score every candidate in one
 lane-packed fault simulation per pick.
@@ -23,6 +24,7 @@ import random
 from dataclasses import dataclass, field
 
 from .faultsim import FaultSet, count_new_detections, fault_simulate
+from .netlist import GATE_RULES
 from .simcore import PatternBatch
 
 
@@ -130,34 +132,19 @@ def export_vectors(pool, detects=None):
 # three-valued gate evaluation; None is X
 
 def _eval3(kind, vals):
-    if kind == "AND" or kind == "NAND":
-        v = 1
-        for x in vals:
-            if x == 0:
-                v = 0
-                break
-            if x is None:
-                v = None
-        return v if kind == "AND" else (None if v is None else 1 - v)
-    if kind == "OR" or kind == "NOR":
-        v = 0
-        for x in vals:
-            if x == 1:
-                v = 1
-                break
-            if x is None:
-                v = None
-        return v if kind == "OR" else (None if v is None else 1 - v)
-    if kind == "XOR" or kind == "XNOR":
-        v = 0
+    ctrl, inv = GATE_RULES[kind]
+    if ctrl is None:
+        v = inv
         for x in vals:
             if x is None:
                 return None
             v ^= x
-        return v if kind == "XOR" else 1 - v
-    if kind == "NOT":
-        return None if vals[0] is None else 1 - vals[0]
-    return vals[0]  # BUFF
+        return v
+    if ctrl in vals:
+        return ctrl ^ inv
+    if None in vals:
+        return None
+    return ctrl ^ inv ^ 1
 
 
 def _sim_pair(net, assign, fault):
@@ -191,31 +178,23 @@ def _controllability(net):
     cc1 = [1] * net.n_nets
     for g in net.gates:
         z = g.output
-        k = g.kind
         c0 = [cc0[i] for i in g.inputs]
         c1 = [cc1[i] for i in g.inputs]
-        if k == "AND":
-            cc1[z] = sum(c1) + 1
-            cc0[z] = min(c0) + 1
-        elif k == "NAND":
-            cc0[z] = sum(c1) + 1
-            cc1[z] = min(c0) + 1
-        elif k == "OR":
-            cc0[z] = sum(c0) + 1
-            cc1[z] = min(c1) + 1
-        elif k == "NOR":
-            cc1[z] = sum(c0) + 1
-            cc0[z] = min(c1) + 1
-        elif k == "NOT":
-            cc0[z] = c1[0] + 1
-            cc1[z] = c0[0] + 1
-        elif k == "BUFF":
-            cc0[z] = c0[0] + 1
-            cc1[z] = c1[0] + 1
+        ctrl, inv = GATE_RULES[g.kind]
+        if len(c0) == 1:
+            v0, v1 = c0[0], c1[0]
+        elif ctrl is None:
+            cc0[z] = sum(min(a, b) for a, b in zip(c0, c1)) + 1
+            cc1[z] = cc0[z] + 1
+            continue
+        elif ctrl == 0:
+            v0, v1 = min(c0), sum(c1)
         else:
-            base = sum(min(a, b) for a, b in zip(c0, c1)) + 1
-            cc0[z] = base
-            cc1[z] = base + 1
+            v0, v1 = sum(c0), min(c1)
+        if inv:
+            v0, v1 = v1, v0
+        cc0[z] = v0 + 1
+        cc1[z] = v1 + 1
     return cc0, cc1
 
 
@@ -227,10 +206,6 @@ def _circuit_tables(net):
     """
     return (set(net.input_nets), set(net.output_nets),
             {g.output: g for g in net.gates}, *_controllability(net))
-
-
-_CONTROLLING = {"AND": 0, "NAND": 0, "OR": 1, "NOR": 1}
-_INVERTING = {"NAND", "NOR", "NOT", "XNOR"}
 
 
 class _Podem:
@@ -408,7 +383,7 @@ class _Podem:
             g = self.net.gates[pos]
             if not self._xpath(g.output, good, faulty):
                 continue
-            ctrl = _CONTROLLING.get(g.kind)
+            ctrl = GATE_RULES[g.kind][0]
             for i in g.inputs:
                 if good[i] is None:
                     if ctrl is None:
@@ -420,18 +395,19 @@ class _Podem:
         """Walk the objective back to an unassigned input."""
         while nid not in self.input_set:
             g = self.producer[nid]
-            if g.kind in ("XOR", "XNOR"):
-                parity = value ^ (1 if g.kind == "XNOR" else 0)
+            ctrl, inv = GATE_RULES[g.kind]
+            value ^= inv
+            if ctrl is None:
+                # parity gates, NOT and BUFF: the first free input takes
+                # whatever value leaves the output at the objective
                 pick = None
                 for i in g.inputs:
                     if good[i] is None and pick is None:
                         pick = i
                     elif good[i] is not None:
-                        parity ^= good[i]
-                nid, value = pick, parity
+                        value ^= good[i]
+                nid = pick
                 continue
-            value ^= 1 if g.kind in _INVERTING else 0
-            ctrl = _CONTROLLING.get(g.kind, 0)
             free = [i for i in g.inputs if good[i] is None]
             cost = self.cc0 if value == 0 else self.cc1
             if value == ctrl:

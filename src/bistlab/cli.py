@@ -40,7 +40,6 @@ from .netlist import (
     NetlistError,
     circuit_profile,
     full_scan_transform,
-    levelize,
     load_bench,
     resolve_bench_path,
 )
@@ -177,16 +176,16 @@ def _write_out(path, text):
 
 def _cmd_inspect(args):
     net = _load_circuit(args)
+    scanned = full_scan_transform(net)
+    prof = circuit_profile(scanned)
     kinds = {}
     for g in net.gates:
         kinds[g.kind] = kinds.get(g.kind, 0) + 1
     print(f"{net.name}: {len(net.primary_inputs)} PI,"
           f" {len(net.primary_outputs)} PO,"
-          f" {kinds.get('DFF', 0)} DFF, {len(net.gates)} gates")
+          f" {prof.ppis} DFF, {len(net.gates)} gates")
     print("gate kinds:",
           ", ".join(f"{k}={n}" for k, n in sorted(kinds.items())))
-    scanned = levelize(full_scan_transform(net))
-    prof = circuit_profile(scanned)
     level = [0] * scanned.n_nets
     for g in scanned.gates:
         level[g.output] = 1 + max(level[i] for i in g.inputs)

@@ -5,12 +5,13 @@ polarities on every gate output net (stem faults) and on every gate
 input connection (branch faults). Simulation is parallel-pattern,
 single-fault: the good machine is evaluated once per batch, then each
 live fault propagates only through its cone of influence, lane masks in
-plain ints. Detection means a difference at any PO or PPO. Detected
-faults are dropped: fault_simulate and count_new_detections share one
-fault loop (_detections) that skips them: bytearray.find over the
-detected flags jumps from one live fault to the next, so a dropped fault
-costs no Python-level step. A caller that already holds the batch's good
-values passes them in (good=).
+plain ints. Gate rules, in propagation and in collapsing, come from
+netlist.GATE_RULES. Detection means a difference at any PO or PPO.
+Detected faults are dropped: fault_simulate and count_new_detections
+share one fault loop (_detections) that skips them: bytearray.find over
+the detected flags jumps from one live fault to the next, so a dropped
+fault costs no Python-level step. A caller that already holds the
+batch's good values passes them in (good=).
 
 Injection is lane-masked: _fault_effect forces the fault only in the
 lanes it is given. Over all lanes that is ordinary parallel-pattern
@@ -25,6 +26,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+from .netlist import GATE_RULES
 from .simcore import PatternBatch, _evaluate, _response_word
 
 
@@ -75,11 +77,6 @@ class FaultSet:
     def untestable_count(self):
         return self.untestable.count(1)
 
-    def undetected_indices(self, include_untestable=False):
-        return [i for i in range(len(self.all))
-                if not self.detected[i]
-                and (include_untestable or not self.untestable[i])]
-
     def coverage(self):
         """Detected fraction of the whole set."""
         return self.detected_count() / len(self.all) if self.all else 1.0
@@ -100,17 +97,6 @@ def enumerate_faults(net):
         faults.append(Fault(g.output, 0))
         faults.append(Fault(g.output, 1))
     return FaultSet(faults)
-
-
-# Stuck value at a gate input forcing the output: kind -> (in, out).
-_GATE_EQUIV = {
-    "AND": ((0, 0),),
-    "NAND": ((0, 1),),
-    "OR": ((1, 1),),
-    "NOR": ((1, 0),),
-    "NOT": ((0, 1), (1, 0)),
-    "BUFF": ((0, 0), (1, 1)),
-}
 
 
 def collapse_faults(fs, net):
@@ -135,8 +121,17 @@ def collapse_faults(fs, net):
             parent[ra] = rb
 
     for pos, g in enumerate(net.gates):
+        ctrl, inv = GATE_RULES[g.kind]
+        if len(g.inputs) == 1:
+            # a one-input gate passes either stuck value through
+            pairs = ((0, inv), (1, 1 ^ inv))
+        elif ctrl is None:
+            pairs = ()
+        else:
+            # a stuck-at-controlling input forces the output
+            pairs = ((ctrl, ctrl ^ inv),)
         for pin, nid in enumerate(g.inputs):
-            for sv, ov in _GATE_EQUIV.get(g.kind, ()):
+            for sv, ov in pairs:
                 union(Fault(nid, sv, (pos, pin)), Fault(g.output, ov))
 
     observed = set(net.output_nets)
@@ -188,6 +183,7 @@ def _fault_effect(net, good, full, fault, fanout, observed, lanes):
     keep their good values; with lanes == full every lane is faulty.
     """
     gates = net.gates
+    rules = GATE_RULES
     site = good[fault.net]
     forced = site | lanes if fault.stuck else site & ~lanes
     if forced == site:
@@ -214,35 +210,27 @@ def _fault_effect(net, good, full, fault, fanout, observed, lanes):
     while heap:
         pos = heapq.heappop(heap)
         g = gates[pos]
-        k = g.kind
+        ctrl, inv = rules[g.kind]
         vals = []
         for pin, nid in enumerate(g.inputs):
             if fault.branch == (pos, pin):
                 vals.append(forced)
             else:
                 vals.append(fval.get(nid, good[nid]))
-        if k == "AND" or k == "NAND":
-            v = full
-            for x in vals:
-                v &= x
-            if k == "NAND":
-                v ^= full
-        elif k == "OR" or k == "NOR":
-            v = 0
-            for x in vals:
-                v |= x
-            if k == "NOR":
-                v ^= full
-        elif k == "XOR" or k == "XNOR":
+        if ctrl is None:
             v = 0
             for x in vals:
                 v ^= x
-            if k == "XNOR":
-                v ^= full
-        elif k == "NOT":
-            v = vals[0] ^ full
+        elif ctrl:
+            v = 0
+            for x in vals:
+                v |= x
         else:
-            v = vals[0]
+            v = full
+            for x in vals:
+                v &= x
+        if inv:
+            v ^= full
         if v != good[g.output]:
             fval[g.output] = v
             if g.output in observed:

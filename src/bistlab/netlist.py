@@ -8,6 +8,9 @@ netlist levelized, flip-flops last, so it can be simulated as it stands.
 
 Net ids are assigned in declaration order and survive every transform;
 only gate order and gate ids change when a netlist is levelized.
+
+GATE_RULES is the one statement of what each gate kind computes: the
+simulators, PODEM and fault collapsing all derive their rules from it.
 """
 
 from __future__ import annotations
@@ -20,8 +23,21 @@ from importlib import resources
 
 logger = logging.getLogger(__name__)
 
-COMB_KINDS = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUFF")
-ALL_KINDS = COMB_KINDS + ("DFF",)
+# Every combinational kind as (controlling value, inverted). A gate with
+# controlling value c outputs c ^ inverted when any input is c, else its
+# complement; a gate with None outputs the parity of its inputs, xor
+# inverted. NOT and BUFF are the one-input XNOR and XOR.
+GATE_RULES = {
+    "AND": (0, 0),
+    "NAND": (0, 1),
+    "OR": (1, 0),
+    "NOR": (1, 1),
+    "XOR": (None, 0),
+    "XNOR": (None, 1),
+    "NOT": (None, 1),
+    "BUFF": (None, 0),
+}
+ALL_KINDS = tuple(GATE_RULES) + ("DFF",)
 UNARY_KINDS = ("NOT", "BUFF", "DFF")
 
 

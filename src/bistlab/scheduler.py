@@ -355,8 +355,8 @@ class CampaignState:
     """Mutable state threaded through one campaign run."""
 
     def __init__(self, net, config, fs=None):
-        if net.has_dffs():
-            net = full_scan_transform(net)
+        # idempotent, and levelizes a netlist built out of gate order
+        net = full_scan_transform(net)
         self.net = net
         self.cfg = config
         self.profile = circuit_profile(net)

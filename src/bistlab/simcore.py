@@ -2,14 +2,16 @@
 
 simulate_batch packs one pattern per bit lane into plain Python ints, so
 a batch of W patterns costs one pass over the gates regardless of W.
-Two-valued gate semantics live in _evaluate (the good machine) and in
-faultsim's cone propagation, nowhere else; both are tested against the
-independent reference in tests/oracles.py.
+Both two-valued evaluators, _evaluate (the good machine) and faultsim's
+cone propagation, read each gate's rule from netlist.GATE_RULES; both
+are tested against the independent reference in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .netlist import GATE_RULES
 
 
 class WidthMismatch(ValueError):
@@ -54,34 +56,28 @@ def _evaluate(net, batch):
     values = [0] * net.n_nets
     for nid, lanes in batch.bits.items():
         values[nid] = lanes
+    rules = GATE_RULES
     for g in net.gates:
         ins = g.inputs
-        k = g.kind
-        if k == "AND" or k == "NAND":
-            v = full
-            for i in ins:
-                v &= values[i]
-            if k == "NAND":
-                v ^= full
-        elif k == "OR" or k == "NOR":
-            v = 0
-            for i in ins:
-                v |= values[i]
-            if k == "NOR":
-                v ^= full
-        elif k == "XOR" or k == "XNOR":
+        try:
+            ctrl, inv = rules[g.kind]
+        except KeyError:
+            raise WidthMismatch(f"cannot simulate sequential element {g.name}; "
+                                "run full_scan_transform first") from None
+        if ctrl is None:
             v = 0
             for i in ins:
                 v ^= values[i]
-            if k == "XNOR":
-                v ^= full
-        elif k == "NOT":
-            v = values[ins[0]] ^ full
-        elif k == "BUFF":
-            v = values[ins[0]]
+        elif ctrl:
+            v = 0
+            for i in ins:
+                v |= values[i]
         else:
-            raise WidthMismatch(f"cannot simulate sequential element {g.name}; "
-                                "run full_scan_transform first")
+            v = full
+            for i in ins:
+                v &= values[i]
+        if inv:
+            v ^= full
         values[g.output] = v
     return values
 

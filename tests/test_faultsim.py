@@ -307,8 +307,6 @@ def test_coverage_metrics():
     fs.mark_untestable(3)
     assert fs.coverage() == pytest.approx(1 / 4)
     assert fs.testable_coverage() == pytest.approx(1 / 3)
-    assert fs.undetected_indices() == [1, 2]
-    assert fs.undetected_indices(include_untestable=True) == [1, 2, 3]
     assert (fs.detected_count(), fs.untestable_count()) == (1, 1)
 
 

@@ -15,7 +15,14 @@ from bistlab.registers import (
     fold_response,
     next_lfsr,
 )
-from bistlab.netlist import circuit_profile, full_scan_transform, load_bench, parse_bench
+from bistlab.netlist import (
+    Gate,
+    Netlist,
+    circuit_profile,
+    full_scan_transform,
+    load_bench,
+    parse_bench,
+)
 from bistlab.faultsim import collapse_faults, enumerate_faults, faulty_response_word
 from bistlab.scheduler import (
     CampaignConfig,
@@ -223,6 +230,17 @@ def test_campaign_accepts_sequential_netlist_directly():
     assert raw.has_dffs()
     r = run_campaign(raw)
     assert r.profile.scan_length == len(full_scan_transform(raw).input_nets)
+
+
+def test_campaign_levelizes_netlist_built_out_of_order():
+    # z reads n, which the next gate drives
+    net = Netlist("x", [Gate(0, "AND", (3, 1), 2, "z"),
+                        Gate(1, "NOT", (0,), 3, "n")],
+                  ["a", "b", "z", "n"], [0, 1], [2])
+    parsed = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(z)\n"
+                         "z = AND(n, b)\nn = NOT(a)\n", name="x")
+    assert export_event_log(run_campaign(net)) \
+        == export_event_log(run_campaign(parsed))
 
 
 def test_campaign_accepts_prepared_fault_set(s27):
