@@ -13,9 +13,10 @@ with ``perfbench/synth.generate``:
   against a 14-bit scan word, so the signature register folds;
 * synth_scan.bench = generate(10, 12, 4, 150, 1).
 
-Between them the legs run both detection modes, seeds 1 and 2, unload
-intervals 1 and 32, on-demand PODEM at budgets 10 and 10**6, and
-``atpg --export`` at budget 100. They are a covering subset, not the
+Between them the legs run both detection modes, seeds 1 to 3, unload
+intervals 1, 2, 4 and 32, on-demand PODEM at budgets 10 and 10**6,
+``atpg --export`` at budget 100, and two signature-mode ``sweep``
+grids. They are a covering subset, not the
 full product, to keep the test near two seconds.
 
     python tools/golden_digests.py           # compare with the committed file
@@ -78,6 +79,18 @@ LEGS = {
     "synth_scan-atpg-b100": [
         "atpg", "--bench", "synth_scan.bench", "--seed", "1",
         "--backtrack-budget", "100", "--export", "{vectors.txt}"],
+    "s27-sweep-signature-s2-u4": [
+        "sweep", "--bench", "s27", "--seed", "2",
+        "--th1-grid", "0.5,0.85", "--th2-ratio-grid", "0.25,1.0",
+        "--poly-set", "7,1,0;7,3,0", "--poly-set", "7,3,0",
+        "--unload-interval", "4", "--detection-mode", "signature",
+        "--out", "{grid.csv}"],
+    "synth_fold-sweep-signature-s3-u2": [
+        "sweep", "--bench", "synth_fold.bench", "--seed", "3",
+        "--th1-grid", "0.5,0.85", "--th2-ratio-grid", "0.25",
+        "--unload-interval", "2", "--detection-mode", "signature",
+        "--target-coverage", "0.95", "--cycle-budget", "5000",
+        "--backtrack-budget", "10", "--out", "{grid.csv}"],
 }
 
 
