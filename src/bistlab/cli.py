@@ -21,6 +21,7 @@ malformed input file, 3 regression failure.
 
 import argparse
 import concurrent.futures
+import dataclasses
 import itertools
 import sys
 
@@ -114,27 +115,23 @@ def _load_circuit(args):
         raise NetlistError(f"{path}: {exc}") from None
 
 
-def _campaign_config(args):
-    polys = None
+def _campaign_config(args, **cell):
+    """CampaignConfig from the flags named like its fields.
+
+    ``--no-collapse`` and ``--poly`` are translated; ``cell`` sets the
+    axes a sweep varies.
+    """
+    values = {f.name: getattr(args, f.name)
+              for f in dataclasses.fields(CampaignConfig)
+              if hasattr(args, f.name)}
+    values["collapse"] = not args.no_collapse
     if getattr(args, "poly", None):
-        polys = tuple(
+        values["poly_exponents"] = tuple(
             itertools.chain.from_iterable(_parse_poly_spec(p)
                                           for p in args.poly)
         )
-    return CampaignConfig(
-        seed=args.seed,
-        th1=args.th1,
-        th2_ratio=args.th2_ratio,
-        th2=args.th2,
-        poly_exponents=polys,
-        unload_interval=args.unload_interval,
-        detection_mode=args.detection_mode,
-        target_coverage=args.target_coverage,
-        cycle_budget=args.cycle_budget,
-        collapse=not args.no_collapse,
-        backtrack_budget=args.backtrack_budget,
-        vector_file=args.vector_file,
-    )
+    values.update(cell)
+    return CampaignConfig(**values)
 
 
 def _effective_config(args, cfg):
@@ -142,20 +139,9 @@ def _effective_config(args, cfg):
     pairs = [("bench", args.bench)]
     if getattr(args, "bench_dir", None):
         pairs.append(("bench_dir", args.bench_dir))
-    pairs += [
-        ("seed", cfg.seed),
-        ("th1", cfg.th1),
-        ("th2_ratio", cfg.th2_ratio),
-        ("th2", cfg.th2),
-        ("poly", cfg.poly_exponents),
-        ("unload_interval", cfg.unload_interval),
-        ("detection_mode", cfg.detection_mode),
-        ("target_coverage", cfg.target_coverage),
-        ("cycle_budget", cfg.cycle_budget),
-        ("collapse", cfg.collapse),
-        ("backtrack_budget", cfg.backtrack_budget),
-        ("vector_file", cfg.vector_file),
-    ]
+    pairs += [("poly" if f.name == "poly_exponents" else f.name,
+               getattr(cfg, f.name))
+              for f in dataclasses.fields(cfg) if f.name != "shadow_limit"]
     return pairs
 
 
@@ -265,15 +251,14 @@ def _cmd_campaign(args):
 
 def _sweep_cell(task):
     """One grid point; module-level so process pools can ship it."""
-    bench_path, cfg_kwargs = task
-    net = load_bench(bench_path)
-    result = run_campaign(net, CampaignConfig(**cfg_kwargs))
+    bench_path, cfg = task
+    result = run_campaign(load_bench(bench_path), cfg)
     a = result.accounting
     return {
-        "th1": cfg_kwargs["th1"],
-        "th2_ratio": cfg_kwargs["th2_ratio"],
-        "poly": cfg_kwargs["poly_exponents"],
-        "seed": cfg_kwargs["seed"],
+        "th1": cfg.th1,
+        "th2_ratio": cfg.th2_ratio,
+        "poly": cfg.poly_exponents,
+        "seed": cfg.seed,
         "adv": a.adv,
         "pmdv": a.pmdv,
         "prtp_ph1": a.prtp_ph1,
@@ -285,6 +270,10 @@ def _sweep_cell(task):
 
 
 def _cmd_sweep(args):
+    if args.jobs < 1:
+        print(f"sweep: bad configuration: --jobs must be >= 1, got"
+              f" {args.jobs}", file=sys.stderr)
+        return 1
     bench_path = resolve_bench_path(args.bench, args.bench_dir)
     th1_grid = [float(x) for x in args.th1_grid.split(",")]
     ratio_grid = [float(x) for x in args.th2_ratio_grid.split(",")]
@@ -292,24 +281,12 @@ def _cmd_sweep(args):
     if args.poly_set:
         poly_grid = [_parse_poly_spec(s) for s in args.poly_set]
     try:
-        tasks = []
-        for th1, ratio, polys in itertools.product(
-                th1_grid, ratio_grid, poly_grid):
-            kwargs = dict(
-                seed=args.seed,
-                th1=th1,
-                th2_ratio=ratio,
-                poly_exponents=polys,
-                unload_interval=args.unload_interval,
-                detection_mode=args.detection_mode,
-                target_coverage=args.target_coverage,
-                cycle_budget=args.cycle_budget,
-                collapse=not args.no_collapse,
-                backtrack_budget=args.backtrack_budget,
-                vector_file=args.vector_file,
-            )
-            CampaignConfig(**kwargs)  # validate before any work starts
-            tasks.append((bench_path, kwargs))
+        # every cell is validated before any work starts
+        tasks = [(bench_path, _campaign_config(args, th1=th1,
+                                               th2_ratio=ratio,
+                                               poly_exponents=polys))
+                 for th1, ratio, polys in itertools.product(
+                     th1_grid, ratio_grid, poly_grid)]
     except (InvalidRatio, ValueError) as exc:
         print(f"sweep: bad configuration: {exc}", file=sys.stderr)
         return 1
@@ -375,25 +352,14 @@ def _add_bench(p):
                    help="directory searched before BENCH_DIR and bundled data")
 
 
-def _add_campaign_flags(p):
+def _add_run_flags(p):
+    """Campaign flags that campaign and sweep both take."""
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--th1", type=float, default=0.85)
-    p.add_argument("--th2-ratio", type=float, default=None)
-    p.add_argument("--th2", type=int, default=None)
-    p.add_argument("--poly", action="append", default=None,
-                   metavar="EXPONENTS",
-                   help="polynomial as exponents '7,3,0'; repeat or join"
-                        " with ';' for a schedule")
     p.add_argument("--unload-interval", type=int, default=32)
     p.add_argument("--detection-mode", choices=("direct", "signature"),
                    default="direct")
     p.add_argument("--target-coverage", type=float, default=1.0)
     p.add_argument("--cycle-budget", type=int, default=10_000_000)
-    _add_pool_flags(p)
-
-
-def _add_pool_flags(p):
-    """Fault universe and deterministic-vector source of a campaign."""
     p.add_argument("--no-collapse", action="store_true")
     p.add_argument("--backtrack-budget", type=int, default=10 ** 6)
     p.add_argument("--vector-file", default=None,
@@ -428,7 +394,14 @@ def build_parser():
 
     p = sub.add_parser("campaign", help="one full two-phase run")
     _add_bench(p)
-    _add_campaign_flags(p)
+    _add_run_flags(p)
+    p.add_argument("--th1", type=float, default=0.85)
+    p.add_argument("--th2-ratio", type=float, default=None)
+    p.add_argument("--th2", type=int, default=None)
+    p.add_argument("--poly", action="append", default=None,
+                   metavar="EXPONENTS",
+                   help="polynomial as exponents '7,3,0'; repeat or join"
+                        " with ';' for a schedule")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="report path, '-' for stdout")
     p.add_argument("--events", default=None, help="event log CSV path")
@@ -436,17 +409,11 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="campaign grid")
     _add_bench(p)
-    p.add_argument("--seed", type=int, default=1)
+    _add_run_flags(p)
     p.add_argument("--th1-grid", default="0.85")
     p.add_argument("--th2-ratio-grid", default="0.5")
     p.add_argument("--poly-set", action="append", default=None,
                    help="one schedule per occurrence, e.g. '7,3,0;7,1,0'")
-    p.add_argument("--unload-interval", type=int, default=32)
-    p.add_argument("--detection-mode", choices=("direct", "signature"),
-                   default="direct")
-    p.add_argument("--target-coverage", type=float, default=1.0)
-    p.add_argument("--cycle-budget", type=int, default=10_000_000)
-    _add_pool_flags(p)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)

@@ -137,9 +137,6 @@ class Netlist:
     def net_name(self, nid):
         return self.net_names[nid]
 
-    def has_dffs(self):
-        return any(g.kind == "DFF" for g in self.gates)
-
     def fanout(self):
         """Map net id -> tuple of (gate position, pin index) reading it."""
         if self._fanout is None:

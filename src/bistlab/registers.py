@@ -19,16 +19,22 @@ Conventions, pinned here and relied on everywhere else:
   (ms=1, b2 b1 = 0 0): a single clock does both, consuming one
   polynomial. Responses wider than the register fold by XOR of n-bit
   chunks (response bit i lands on cell i mod n).
+
+This module is the one home of register and GF(2) polynomial
+arithmetic: the campaign's generator, the signature overlay's faulty
+registers (scheduler.py) and the table generator tools/gen_polytab.py
+all step and prove polynomials through the functions here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import _polytab
 
 
-class DegreeMismatch(Exception):
+class DegreeMismatch(ValueError):
     """Register width and polynomial degree (or word width) disagree."""
 
 
@@ -250,14 +256,14 @@ def default_schedule(width):
                  for mask in entries)
 
 
-# GF(2) polynomial arithmetic on ints (bit i = coefficient of x^i),
-# used only to prove maximal length. Degree is capped because the
-# proof needs the full factorization of 2^n - 1.
+# GF(2) polynomial arithmetic on ints (bit i = coefficient of x^i).
+# tools/gen_polytab.py proves the shipped table with is_primitive too.
 
 _VERIFY_CAP = 64
 
 
 def _pmod(a, m, n):
+    """a modulo m, where m has degree n."""
     while a.bit_length() > n:
         a ^= m << (a.bit_length() - 1 - n)
     return a
@@ -275,20 +281,31 @@ def _pmulmod(a, b, m, n):
     return _pmod(r, m, n)
 
 
+# squaring spreads bit i to bit 2i; one table lookup per byte
+_SPREAD = tuple(int(f"{v:b}", 4) for v in range(256))
+
+
+def _psqrmod(a, m, n):
+    s = shift = 0
+    while a:
+        s |= _SPREAD[a & 0xFF] << shift
+        a >>= 8
+        shift += 16
+    return _pmod(s, m, n)
+
+
 def _ppowmod(a, e, m, n):
     r = 1
-    while e:
-        if e & 1:
+    for bit in f"{e:b}":
+        r = _psqrmod(r, m, n)
+        if bit == "1":
             r = _pmulmod(r, a, m, n)
-        a = _pmulmod(a, a, m, n)
-        e >>= 1
     return r
 
 
-def _pmod_any(a, b):
-    nb = b.bit_length() - 1
-    while a.bit_length() - 1 >= nb and a:
-        a ^= b << (a.bit_length() - 1 - nb)
+def _pgcd(a, b):
+    while b:
+        a, b = b, _pmod(a, b, b.bit_length() - 1)
     return a
 
 
@@ -328,19 +345,13 @@ def _pollard_rho(num):
             x = (x * x + c) % num
             y = (y * y + c) % num
             y = (y * y + c) % num
-            d = _gcd(abs(x - y), num)
+            d = math.gcd(x - y, num)
         if d != num:
             return d
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _factorize(num):
-    """Prime factor set; only called for num = 2^n - 1 with n <= cap."""
+    """Prime factor set of num >= 1."""
     out = set()
     stack = [num]
     while stack:
@@ -356,14 +367,16 @@ def _factorize(num):
     return out
 
 
-def is_primitive(degree, mask):
+def is_primitive(degree, mask, group_primes=None):
     """Prove (or refuse to guess) that x^degree + mask is maximal length.
 
-    Returns (ok, reason). Refuses degrees above the verification cap so
-    a wrong polynomial can never be blessed: big-degree users must rely
-    on the shipped table or their own proof.
+    Returns (ok, reason). The order test needs every prime factor of
+    2^degree - 1. They are found here up to a verification cap, so a
+    wrong polynomial can never be blessed: big-degree users must rely
+    on the shipped table or pass ``group_primes``, which is checked to
+    be exactly the primes of 2^degree - 1 before it is used.
     """
-    if degree > _VERIFY_CAP:
+    if group_primes is None and degree > _VERIFY_CAP:
         return False, (f"degree {degree} exceeds the on-the-fly verification "
                        f"cap of {_VERIFY_CAP}")
     if not (mask & 1):
@@ -374,26 +387,32 @@ def is_primitive(degree, mask):
     # divisor d of the degree, gcd(x^(2^(degree/d)) - x, p) == 1.
     t = x
     for _ in range(degree):
-        t = _pmulmod(t, t, modulus, degree)
+        t = _psqrmod(t, modulus, degree)
     if t != x:
         return False, "reducible (splitting field too small)"
-    for d in sorted(_factorize(degree)) if degree > 1 else []:
+    for d in sorted(_factorize(degree)):
         t = x
         for _ in range(degree // d):
-            t = _pmulmod(t, t, modulus, degree)
-        if _pgcd_poly(t ^ x, modulus) != 1:
+            t = _psqrmod(t, modulus, degree)
+        if _pgcd(t ^ x, modulus) != 1:
             return False, f"reducible (factor of degree dividing {degree // d})"
     # Order: x must not die on any maximal proper divisor of 2^n - 1.
     group = (1 << degree) - 1
+    if group_primes is None:
+        group_primes = _factorize(group)
+    else:
+        group_primes = set(group_primes)
+        rest = group
+        for p in group_primes:
+            if not _is_probable_prime(p) or rest % p:
+                return False, f"{p} is not a prime factor of 2^n - 1"
+            while rest % p == 0:
+                rest //= p
+        if rest != 1:
+            return False, f"group_primes miss the factor {rest} of 2^n - 1"
     if _ppowmod(x, group, modulus, degree) != 1:
         return False, "element order does not divide 2^n - 1"
-    for q in sorted(_factorize(group)):
+    for q in sorted(group_primes):
         if _ppowmod(x, group // q, modulus, degree) == 1:
             return False, f"order divides (2^n - 1)/{q}"
     return True, "maximal length proven"
-
-
-def _pgcd_poly(a, b):
-    while b:
-        a, b = b, _pmod_any(a, b)
-    return a

@@ -59,10 +59,8 @@ from .registers import (
     IpBilbo,
     IpBilboConfig,
     Polynomial,
-    RegisterState,
     default_schedule,
-    fold_response,
-    next_lfsr,
+    ipbilbo_next_pattern,
 )
 from .simcore import PatternBatch, _evaluate, _response_word
 
@@ -87,6 +85,20 @@ class Thresholds:
     th3: int
 
 
+def _check_thresholds(th1, th2_ratio, th2):
+    """Range check shared by CampaignConfig and derive_thresholds.
+
+    An explicit th2 bypasses the ratio, so the ratio is then unchecked.
+    """
+    if not 0.0 <= th1 <= 1.0:
+        raise InvalidRatio(f"th1 must be within [0, 1], got {th1}")
+    if th2 is not None:
+        if int(th2) < 1:
+            raise InvalidRatio(f"th2 must be >= 1, got {int(th2)}")
+    elif th2_ratio is not None and not 0.0 < th2_ratio <= 1.0:
+        raise InvalidRatio(f"th2 ratio must be in (0, 1], got {th2_ratio}")
+
+
 def derive_thresholds(profile, th1=0.85, th2_ratio=None, th2=None):
     """Thresholds for a circuit, scaled by its scan length.
 
@@ -96,18 +108,13 @@ def derive_thresholds(profile, th1=0.85, th2_ratio=None, th2=None):
     before the generator is declared stale. An explicit th2 bypasses
     the ratio entirely.
     """
-    if not 0.0 <= th1 <= 1.0:
-        raise InvalidRatio(f"th1 must be within [0, 1], got {th1}")
+    _check_thresholds(th1, th2_ratio, th2)
     scan = profile.scan_length
     if th2 is not None:
         th2 = int(th2)
-        if th2 < 1:
-            raise InvalidRatio(f"th2 must be >= 1, got {th2}")
     else:
         if th2_ratio is None:
             th2_ratio = 0.5 if scan <= 256 else 0.25
-        if not 0.0 < th2_ratio <= 1.0:
-            raise InvalidRatio(f"th2 ratio must be in (0, 1], got {th2_ratio}")
         th2 = max(1, math.ceil(th2_ratio * scan))
     return Thresholds(th1=th1, th2=th2, th3=2 * th2)
 
@@ -131,6 +138,7 @@ class CampaignConfig:
     shadow_limit: int = 2_000_000  # faults*gates above which aliasing is skipped
 
     def __post_init__(self):
+        _check_thresholds(self.th1, self.th2_ratio, self.th2)
         if self.detection_mode not in ("direct", "signature"):
             raise ValueError(f"unknown detection mode {self.detection_mode!r}")
         if self.cycle_budget < 1:
@@ -263,7 +271,10 @@ class _SignatureOverlay:
     nothing to store, and the moment its response differs a shadow
     state is materialised and stepped exactly (its own pattern, its own
     response) until the next compare boundary. Equal-at-boundary after
-    diverging is aliasing; different-at-boundary is a detection.
+    diverging is aliasing; different-at-boundary is a detection. Every
+    faulty register takes the generator's own step
+    (registers.ipbilbo_next_pattern); the overlay has no register
+    arithmetic of its own.
     """
 
     def __init__(self, net, fs, gen):
@@ -289,39 +300,30 @@ class _SignatureOverlay:
             if diff:
                 self.pending_diff[i] = diff
 
-    def step(self, mode, schedule_index, golden_next):
+    def step(self, mode, schedule_index, pre_state, response):
         """Advance every faulty machine in lockstep with the golden one.
 
-        Called right after the golden generator stepped, with the
-        schedule position it stepped from. Diverged machines run their
-        own full pattern/response loop, all of them in one evaluation
-        with one lane per machine; machines that just produced their
-        first wrong response split off algebraically, since the
-        register update is linear and a response difference d lands as
-        fold(d) after the compress clock and as L(fold(d)) after the
-        generate clock.
+        Called right after the golden generator stepped from
+        ``pre_state`` at ``schedule_index`` on ``response``. Diverged
+        machines run their own full pattern/response loop, all of them
+        in one evaluation with one lane per machine. A machine that
+        just produced its first wrong response steps from the golden
+        pre-step state on the response it gave; if it lands on the
+        golden state anyway, folding cancelled its difference.
         """
         cfg = self.gen.cfg
-        sched = cfg.poly_schedule
-        n = cfg.width
-        L = len(sched)
+        golden = self.gen.state.bits
         shadows = list(self.shadows.items())
         resps = _faulty_responses(self.net, [st.bits for _i, st in shadows],
                                   [self.fs.all[i] for i, _st in shadows])
         for (i, st), resp in zip(shadows, resps):
-            misr = (next_lfsr(st, sched[schedule_index % L]).bits
-                    ^ fold_response(resp, n))
-            if mode.ms == 0:
-                misr = next_lfsr(RegisterState(n, misr),
-                                 sched[(schedule_index + 1) % L]).bits
-            self.shadows[i] = RegisterState(n, misr)
+            self.shadows[i] = ipbilbo_next_pattern(
+                st, cfg, mode, resp, schedule_index)[0]
         for i, diff in self.pending_diff.items():
-            d = fold_response(diff, n)
-            if mode.ms == 0:
-                d = next_lfsr(RegisterState(n, d),
-                              sched[(schedule_index + 1) % L]).bits
-            if d:
-                self.shadows[i] = RegisterState(n, golden_next ^ d)
+            st = ipbilbo_next_pattern(pre_state, cfg, mode, response ^ diff,
+                                      schedule_index)[0]
+            if st.bits != golden:
+                self.shadows[i] = st
             else:
                 self.fold_masked += 1
         self.pending_diff.clear()
@@ -478,10 +480,10 @@ class CampaignState:
         """
         mode = BilboMode(0 if phase == 1 else 1)
         self._prime_response()
-        pre_idx = self.gen.schedule_index
+        pre_idx, pre_state = self.gen.schedule_index, self.gen.state
         cycles = self.gen.next_pattern(mode, self.last_response)
         if self.overlay is not None:
-            self.overlay.step(mode, pre_idx, self.gen.state.bits)
+            self.overlay.step(mode, pre_idx, pre_state, self.last_response)
         self.acct.cycles += cycles
         if phase == 1:
             self.acct.prtp_ph1 += 1

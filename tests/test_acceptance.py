@@ -25,7 +25,7 @@ import random
 import pytest
 
 from bistlab.faultsim import collapse_faults, enumerate_faults, fault_simulate
-from bistlab.netlist import load_bench
+from bistlab.netlist import full_scan_transform, load_bench
 from bistlab.registers import RegisterState, next_lfsr
 from bistlab.registers import _polytab
 from bistlab.report import (
@@ -139,10 +139,7 @@ def test_criterion_5_test_generation_matches_exhaustive_search():
     problems = []
     audited = 0
     for name in ("c17", "s27"):
-        net = load_bench(name)
-        if net.has_dffs():
-            from bistlab.netlist import full_scan_transform
-            net = full_scan_transform(net)
+        net = full_scan_transform(load_bench(name))
         fs = collapse_faults(enumerate_faults(net), net)
         for f in fs.all:
             verdict = podem(net, f)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bistlab import cli
 from bistlab.cli import main, read_config_file
 from bistlab.netlist import parse_bench
 from bistlab.scheduler import CampaignConfig, run_campaign
@@ -237,6 +238,39 @@ def test_usage_error_is_exit_1(capsys):
 def test_bad_parameter_is_exit_1(capsys):
     assert run_cli("campaign", "--bench", "s27", "--th2", "0") == 1
     assert "th2" in capsys.readouterr().err
+
+
+@pytest.fixture
+def no_campaign(monkeypatch):
+    """Fails the test if any grid cell starts a campaign."""
+    def run(*_args, **_kwargs):
+        raise AssertionError("a campaign ran despite a bad configuration")
+
+    monkeypatch.setattr(cli, "run_campaign", run)
+
+
+@pytest.mark.parametrize("argv, words", [
+    (("--th1-grid", "0.85,1.5"), "th1"),
+    (("--th2-ratio-grid", "0.5,0"), "th2 ratio"),
+    (("--jobs", "0"), "--jobs"),
+    (("--jobs", "-2"), "--jobs"),
+])
+def test_sweep_config_errors_stop_before_any_cell(argv, words, no_campaign,
+                                                  capsys):
+    assert run_cli("sweep", "--bench", "s27", *argv) == 1
+    cap = capsys.readouterr()
+    assert words in cap.err and "Traceback" not in cap.err
+    assert cap.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("campaign", "--bench", "s27", "--poly", "5,2,0"),
+    ("sweep", "--bench", "s27", "--poly-set", "5,2,0"),
+])
+def test_polynomial_degree_mismatch_is_exit_1(argv, capsys):
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert "degree 5" in err and "7-cell" in err
 
 
 def test_missing_bench_is_exit_2(capsys):

@@ -44,7 +44,7 @@ def test_c17_shape(c17):
     assert (prof.pis, prof.pos, prof.ppis, prof.ppos) == (5, 2, 0, 0)
     assert prof.scan_length == 5
     assert prof.gate_count == 6
-    assert not c17.has_dffs()
+    assert not any(g.kind == "DFF" for g in c17.gates)
 
 
 def test_case_and_whitespace_tolerant():
@@ -192,7 +192,7 @@ def test_full_scan_alignment(s27_raw):
     names = {net.net_name(q): net.net_name(d)
              for q, d in zip(net.ppi_nets, net.ppo_nets)}
     assert names == {"G5": "G10", "G6": "G11", "G7": "G13"}
-    assert not net.has_dffs()
+    assert not any(g.kind == "DFF" for g in net.gates)
 
 
 def test_full_scan_idempotent(s27_raw):

@@ -1,5 +1,8 @@
 """LFSR/MISR stepping, polynomial checks, and the reseeding generator."""
 
+import importlib.util
+import os
+
 import pytest
 
 from bistlab.registers import (
@@ -262,3 +265,63 @@ def test_is_primitive_rejections():
 def test_primitive_accepts_known_good():
     ok, why = is_primitive(16, _polytab.TAPS[16][0])
     assert ok, why
+
+
+def _trial_primes(num):
+    out, p = set(), 2
+    while p * p <= num:
+        while num % p == 0:
+            out.add(p)
+            num //= p
+        p += 1
+    if num > 1:
+        out.add(num)
+    return out
+
+
+def test_group_primes_give_the_same_verdicts():
+    for degree in range(2, 13):
+        primes = _trial_primes((1 << degree) - 1)
+        for mask in range(1, 1 << degree, 2):
+            assert is_primitive(degree, mask, primes) == \
+                is_primitive(degree, mask), (degree, mask)
+
+
+def test_primitive_exactly_when_orbit_is_maximal():
+    for degree in range(2, 11):
+        for mask in range(1, 1 << degree, 2):
+            exps = Polynomial(degree, mask).exponents()
+            period = len(lfsr_orbit(degree, exps, [1] + [0] * (degree - 1)))
+            assert is_primitive(degree, mask)[0] == \
+                (period == (1 << degree) - 1), (degree, mask)
+
+
+def test_bad_group_primes_refused():
+    good = _polytab.TAPS[16][0]  # 2^16 - 1 = 3 * 5 * 17 * 257
+    assert is_primitive(16, good, [3, 5, 17, 257])[0]
+    for primes in ([3, 5, 17], [15, 17, 257], [3, 5, 17, 257, 7], []):
+        ok, why = is_primitive(16, good, primes)
+        assert not ok and "2^n - 1" in why, primes
+    # x^4+x^3+x^2+x+1 has order 5: the list [5] alone would bless it
+    assert not is_primitive(4, 0b1111, [5])[0]
+    # a complete list lifts the on-the-fly cap
+    primes = _trial_primes((1 << 80) - 1)
+    for mask in _polytab.TAPS[80]:
+        assert not is_primitive(80, mask)[0]
+        assert is_primitive(80, mask, primes) == (True, "maximal length proven")
+    assert not is_primitive(80, 0b1001, primes)[0]
+
+
+def test_polytab_tool_reproduces_the_table(tmp_path, monkeypatch):
+    pytest.importorskip("sympy")
+    tool_path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "tools", "gen_polytab.py")
+    monkeypatch.chdir(tmp_path)  # the tool must not depend on the cwd
+    spec = importlib.util.spec_from_file_location("gen_polytab", tool_path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.is_primitive is is_primitive
+    for degree in range(2, 33):
+        primes = tool.mersenne_prime_factors(degree, budget=10)
+        found = tuple(mask for _taps, mask in tool.find_polys(degree, primes))
+        assert found == _polytab.TAPS[degree], degree

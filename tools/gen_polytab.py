@@ -2,105 +2,41 @@
 """Regenerate src/bistlab/_polytab.py.
 
 Searches for maximal-length feedback polynomials (trinomials first,
-then pentanomials) and PROVES each one primitive before it is emitted:
-Rabin irreducibility plus an order test against the full factorization
-of 2^n - 1. Degrees whose 2^n - 1 cannot be fully factored here are
-simply left out of the table; nothing unproven ships.
+then pentanomials) and PROVES each one primitive before it is emitted,
+with the package's own ``bistlab.registers.is_primitive``: Rabin
+irreducibility plus an order test against the full factorization of
+2^n - 1. That factorization is computed here and handed over as
+``group_primes``; is_primitive checks that the primes are prime and
+multiply out to 2^n - 1, so an incomplete list cannot bless an entry.
+Degrees whose 2^n - 1 cannot be fully factored in budget are simply
+left out of the table; nothing unproven ships.
 
 Factoring uses sympy with a per-degree time budget, assisted by the
 classical Fermat-number factorizations for n = 2^k (each remembered
 factor is itself re-verified by multiplication and a primality test
 before use, so a corrupted constant cannot bless a bad entry).
 
+    python tools/gen_polytab.py    # from any directory; rewrites the table
+
+The tool finds src/ and the table relative to its own file, and
+importing it has no side effect beyond putting src/ on sys.path.
 Dev tool only; the shipped package does not import sympy.
 """
 
+import os
 import signal
 import sys
 import time
 
 from sympy import factorint, isprime
 
-sys.setrecursionlimit(10000)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+TABLE = os.path.join(SRC, "bistlab", "_polytab.py")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
 
-# bit i of an int = coefficient of x^i
-
-
-def pmulmod(a, b, m, n):
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a.bit_length() > n:
-            a ^= m << (a.bit_length() - 1 - n)
-    while r.bit_length() > n:
-        r ^= m << (r.bit_length() - 1 - n)
-    return r
-
-
-# squaring = spreading bits apart; table-driven per byte
-_SPREAD = []
-for v in range(256):
-    s = 0
-    for i in range(8):
-        if (v >> i) & 1:
-            s |= 1 << (2 * i)
-    _SPREAD.append(s)
-
-
-def psqrmod(a, m, n):
-    s = 0
-    shift = 0
-    while a:
-        s |= _SPREAD[a & 0xFF] << shift
-        a >>= 8
-        shift += 16
-    while s.bit_length() > n:
-        s ^= m << (s.bit_length() - 1 - n)
-    return s
-
-
-def ppowmod(a, e, m, n):
-    r = 1
-    for bit in bin(e)[2:]:
-        r = psqrmod(r, m, n)
-        if bit == "1":
-            r = pmulmod(r, a, m, n)
-    return r
-
-
-def pgcd(a, b):
-    while b:
-        nb = b.bit_length() - 1
-        while a.bit_length() - 1 >= nb and a:
-            a ^= b << (a.bit_length() - 1 - nb)
-        a, b = b, a
-    return a
-
-
-def is_primitive(n, mask, prime_factors):
-    m = (1 << n) | mask
-    x = 2
-    t = x
-    for _ in range(n):
-        t = psqrmod(t, m, n)
-    if t != x:
-        return False
-    for d in set(factorint(n)):
-        t = x
-        for _ in range(n // d):
-            t = psqrmod(t, m, n)
-        if pgcd(t ^ x, m) != 1:
-            return False
-    group = (1 << n) - 1
-    if ppowmod(x, group, m, n) != 1:
-        return False
-    for q in prime_factors:
-        if ppowmod(x, group // q, m, n) == 1:
-            return False
-    return True
+from bistlab.registers import is_primitive  # noqa: E402
 
 
 # Classical complete factorizations of Fermat numbers F5..F9. Each is
@@ -241,7 +177,7 @@ def find_polys(n, factors, want=2, budget_s=120):
             break
         if mask in masks:
             continue
-        if is_primitive(n, mask, factors):
+        if is_primitive(n, mask, factors)[0]:
             found.append((taps, mask))
             masks.add(mask)
             if len(found) >= want:
@@ -250,6 +186,7 @@ def find_polys(n, factors, want=2, budget_s=120):
 
 
 def main():
+    sys.setrecursionlimit(10000)
     degrees = list(range(2, 65))
     degrees += list(range(65, 129))
     degrees += [150, 168, 214, 256, 300, 512, 521, 607, 611, 700, 1024]
@@ -290,7 +227,7 @@ def main():
     lines.append("}")
     lines.append("")
     out = "\n".join(lines)
-    with open("src/bistlab/_polytab.py", "w") as fh:
+    with open(TABLE, "w") as fh:
         fh.write(out)
     print(f"\nwrote {len(table)} degrees; skipped: {skipped}")
 

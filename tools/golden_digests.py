@@ -16,8 +16,8 @@ with ``perfbench/synth.generate``:
 Between them the legs run both detection modes, seeds 1 to 3, unload
 intervals 1, 2, 4 and 32, on-demand PODEM at budgets 10 and 10**6,
 ``atpg --export`` at budget 100, and two signature-mode ``sweep``
-grids. They are a covering subset, not the
-full product, to keep the test near two seconds.
+grids. They are a covering subset, not the full product, to keep the
+test near two seconds.
 
     python tools/golden_digests.py           # compare with the committed file
     python tools/golden_digests.py --write   # regenerate it
