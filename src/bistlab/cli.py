@@ -55,6 +55,7 @@ from .scheduler import (
     CampaignConfig,
     InvalidRatio,
     export_event_log,
+    generator_schedule,
     run_campaign,
 )
 
@@ -280,6 +281,7 @@ def _cmd_sweep(args):
     poly_grid = [None]
     if args.poly_set:
         poly_grid = [_parse_poly_spec(s) for s in args.poly_set]
+    scan = circuit_profile(full_scan_transform(_load_circuit(args))).scan_length
     try:
         # every cell is validated before any work starts
         tasks = [(bench_path, _campaign_config(args, th1=th1,
@@ -287,6 +289,8 @@ def _cmd_sweep(args):
                                                poly_exponents=polys))
                  for th1, ratio, polys in itertools.product(
                      th1_grid, ratio_grid, poly_grid)]
+        for polys in poly_grid:
+            generator_schedule(polys, scan)
     except (InvalidRatio, ValueError) as exc:
         print(f"sweep: bad configuration: {exc}", file=sys.stderr)
         return 1

@@ -11,14 +11,18 @@ Detected faults are dropped: fault_simulate and count_new_detections
 share one fault loop (_detections) that skips them: bytearray.find over
 the detected flags jumps from one live fault to the next, so a dropped
 fault costs no Python-level step. A caller that already holds the
-batch's good values passes them in (good=).
+batch's good values passes them in (good=). A caller that also needs
+the faulty machines passes a dict (effects=): fault_simulate stores in
+it the faulty net values of every fault it marks detected, so the
+signature overlay reads those faults' response diffs instead of walking
+their cones a second time.
 
 Injection is lane-masked: _fault_effect forces the fault only in the
 lanes it is given. Over all lanes that is ordinary parallel-pattern
 simulation; over one lane, the other lanes never diverge and the cone
 walk visits the same gates as a width-1 call. _faulty_responses uses
 that to answer several (pattern, fault) pairs, each in its own lane,
-from one good-machine evaluation.
+from one good-machine evaluation and one unpacking of all lanes.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import heapq
 from dataclasses import dataclass
 
 from .netlist import GATE_RULES
-from .simcore import PatternBatch, _evaluate, _response_word
+from .simcore import PatternBatch, _evaluate, _response_words
 
 
 @dataclass(frozen=True)
@@ -241,7 +245,7 @@ def _fault_effect(net, good, full, fault, fanout, observed, lanes):
 
 
 def _detections(net, batch, fs, good=None):
-    """Undetected faults the batch exposes, as (index, detecting lanes).
+    """Undetected faults the batch exposes: (index, detecting lanes, fval).
 
     The one fault loop behind fault_simulate and count_new_detections.
     good, when given, is _evaluate(net, batch); else it is computed
@@ -254,13 +258,13 @@ def _detections(net, batch, fs, good=None):
     fanout = net.fanout()
     faults = fs.all
     for i in _live_indices(fs.detected):
-        det, _ = _fault_effect(net, good, full, faults[i], fanout, observed,
-                               full)
+        det, fval = _fault_effect(net, good, full, faults[i], fanout, observed,
+                                  full)
         if det:
-            yield i, det
+            yield i, det, fval
 
 
-def fault_simulate(net, batch, fs, pattern_base=0, good=None):
+def fault_simulate(net, batch, fs, pattern_base=0, good=None, effects=None):
     """Simulate every undetected fault against the batch.
 
     Updates fs in place and returns per-lane newly-detected counts;
@@ -268,12 +272,18 @@ def fault_simulate(net, batch, fs, pattern_base=0, good=None):
     it. pattern_base is added to the lane index for detector records.
     good optionally supplies the batch's good values (_evaluate's
     result) so a caller that needs them too evaluates only once.
+    effects, when a dict, receives for each fault index this call marks
+    detected the faulty values of every net that diverged (a net id ->
+    lane mask dict, as _fault_effect returns it). Every other fault
+    that was undetected on entry was walked and changed no observed net.
     """
     counts = [0] * batch.width
-    for i, det in _detections(net, batch, fs, good):
+    for i, det, fval in _detections(net, batch, fs, good):
         lane = (det & -det).bit_length() - 1
         fs.mark_detected(i, pattern_base + lane)
         counts[lane] += 1
+        if effects is not None:
+            effects[i] = fval
     return counts
 
 
@@ -285,7 +295,7 @@ def count_new_detections(net, batch, fs):
     alone would return. Pure query: fs is not modified.
     """
     counts = [0] * batch.width
-    for _i, det in _detections(net, batch, fs):
+    for _i, det, _fval in _detections(net, batch, fs):
         while det:
             low = det & -det
             counts[low.bit_length() - 1] += 1
@@ -293,38 +303,52 @@ def count_new_detections(net, batch, fs):
     return counts
 
 
+def _diff_word(net, fval):
+    """Response bits a one-lane fault flips: bit j set if net j diverged.
+
+    fval is _fault_effect's, for a fault injected in a single lane, so
+    every net in it differs from the good machine in that lane alone.
+    Bit j is the j-th output net (POs then PPOs), as in a response word.
+    """
+    diff = 0
+    for j, nid in enumerate(net.output_nets):
+        if nid in fval:
+            diff |= 1 << j
+    return diff
+
+
 def _response_diff(net, good, fault, observed, full=1, lane=0):
     """Observed bits one fault flips in one lane of an evaluation.
 
     The fault is injected in that lane only; the default is a width-1
-    evaluation. Bit j is the j-th output net (POs then PPOs), as in a
-    response word.
+    evaluation.
     """
     det, fval = _fault_effect(net, good, full, fault, net.fanout(), observed,
                               1 << lane)
-    if not det:
-        return 0
-    diff = 0
-    for j, nid in enumerate(net.output_nets):
-        if nid in fval:
-            diff |= ((fval[nid] ^ good[nid]) >> lane) << j
-    return diff
+    return _diff_word(net, fval) if det else 0
 
 
 def _faulty_responses(net, words, faults):
     """Faulty response words: lane k answers words[k] with faults[k].
 
     One good-machine evaluation serves every pair; each fault is
-    injected in its own lane only. No pairs, no evaluation.
+    injected in its own lane only, so its flips land in that lane of a
+    copy of the good values, and one unpacking reads every lane. No
+    pairs, no evaluation.
     """
     if not words:
         return []
     good = _evaluate(net, PatternBatch.from_scan_words(net, words))
     full = (1 << len(words)) - 1
+    fanout = net.fanout()
     observed = set(net.output_nets)
-    return [_response_word(net, good, k)
-            ^ _response_diff(net, good, f, observed, full, k)
-            for k, f in enumerate(faults)]
+    bad = good[:]
+    for k, f in enumerate(faults):
+        det, fval = _fault_effect(net, good, full, f, fanout, observed, 1 << k)
+        if det:
+            for nid in observed.intersection(fval):
+                bad[nid] ^= fval[nid] ^ good[nid]
+    return _response_words(net, bad, len(words))
 
 
 def faulty_response_word(net, word, fault):

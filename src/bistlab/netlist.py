@@ -113,6 +113,11 @@ class Netlist:
         self.ppo_nets = tuple(ppo_nets)
         self._name_to_id = {n: i for i, n in enumerate(self.net_names)}
         self._fanout = None
+        self._kernel = None  # simcore's compiled evaluator, built on first use
+
+    def __getstate__(self):
+        # compiled code does not pickle; a copy compiles its own on first use
+        return dict(self.__dict__, _kernel=None)
 
     @property
     def n_nets(self):

@@ -44,6 +44,7 @@ from .atpg import (
     select_best_vector,
 )
 from .faultsim import (
+    _diff_word,
     _faulty_responses,
     _live_indices,
     _response_diff,
@@ -62,7 +63,7 @@ from .registers import (
     default_schedule,
     ipbilbo_next_pattern,
 )
-from .simcore import PatternBatch, _evaluate, _response_word
+from .simcore import PatternBatch, _evaluate, _response_words
 
 log = logging.getLogger(__name__)
 
@@ -151,6 +152,25 @@ class CampaignConfig:
             raise ValueError("backtrack budget must be >= 0")
         if self.shadow_limit < 0:
             raise ValueError("shadow limit must be >= 0")
+
+
+def generator_schedule(poly_exponents, scan_length):
+    """The generator's polynomial schedule for a scan chain.
+
+    poly_exponents is CampaignConfig's: None takes the shipped table's
+    polynomials of degree scan_length, explicit ones must start with a
+    polynomial of that degree (DegreeMismatch otherwise).
+    """
+    if poly_exponents is None:
+        return default_schedule(scan_length)
+    sched = tuple(Polynomial.from_exponents(e) for e in poly_exponents)
+    if not sched:
+        raise DegreeMismatch("the polynomial schedule is empty")
+    if sched[0].degree != scan_length:
+        raise DegreeMismatch(
+            f"generator degree {sched[0].degree} does not span the "
+            f"{scan_length}-cell scan chain")
+    return sched
 
 
 @dataclass
@@ -275,6 +295,14 @@ class _SignatureOverlay:
     faulty register takes the generator's own step
     (registers.ipbilbo_next_pattern); the overlay has no register
     arithmetic of its own.
+
+    Each pattern costs one cone walk per in-sync fault, shared with
+    fault simulation: the campaign hands absorb_responses the faulty
+    values fault_simulate kept for the faults it just detected, and a
+    fault it walked without detecting answered correctly. The overlay
+    walks a cone itself only for a fault fault simulation had already
+    dropped, or when no fault pass ran on the pattern. The diverged
+    shadows then take one lane-packed evaluation per step.
     """
 
     def __init__(self, net, fs, gen):
@@ -289,14 +317,25 @@ class _SignatureOverlay:
         self.compares = 0
         self._observed = set(net.output_nets)
 
-    def absorb_responses(self, good_nets):
-        """Note which in-sync faults answered the current pattern wrong."""
+    def absorb_responses(self, good_nets, effects=None):
+        """Note which in-sync faults answered the current pattern wrong.
+
+        effects is the dict fault_simulate(effects=) filled on this
+        pattern, or None when no fault pass ran on it. A fault the pass
+        walked takes its diff from there (none, if it went undetected);
+        only faults it skipped as already detected are walked here.
+        """
         self.pending_diff.clear()
+        detected = self.fs.detected
         for i in _live_indices(self.sig_detected, self.fs.untestable):
             if i in self.shadows:
                 continue
-            diff = _response_diff(self.net, good_nets, self.fs.all[i],
-                                  self._observed)
+            if effects is not None and (i in effects or not detected[i]):
+                fval = effects.get(i)
+                diff = _diff_word(self.net, fval) if fval else 0
+            else:
+                diff = _response_diff(self.net, good_nets, self.fs.all[i],
+                                      self._observed)
             if diff:
                 self.pending_diff[i] = diff
 
@@ -370,16 +409,8 @@ class CampaignState:
             if config.collapse:
                 fs = collapse_faults(fs, net)
         self.fs = fs
-        scan = self.profile.scan_length
-        if config.poly_exponents is not None:
-            sched = tuple(Polynomial.from_exponents(e)
-                          for e in config.poly_exponents)
-            if sched[0].degree != scan:
-                raise DegreeMismatch(
-                    f"generator degree {sched[0].degree} does not span the "
-                    f"{scan}-cell scan chain")
-        else:
-            sched = default_schedule(scan)
+        sched = generator_schedule(config.poly_exponents,
+                                   self.profile.scan_length)
         self.gen = IpBilbo(
             IpBilboConfig(sched, unload_interval=config.unload_interval)
         )
@@ -421,25 +452,31 @@ class CampaignState:
         cov = self.coverage()
         self.events.append((self.acct.cycles, event, self.phase, new, cov))
 
-    def _respond(self, good):
-        """Keep the good response of a width-1 evaluation; feed the overlay."""
-        self.last_response = _response_word(self.net, good)
+    def _respond(self, good, effects=None):
+        """Keep the good response of a width-1 evaluation; feed the overlay.
+
+        effects is what fault simulation kept of this pattern's faulty
+        machines, or None when no fault pass ran on it.
+        """
+        self.last_response = _response_words(self.net, good, 1)[0]
         if self.overlay is not None:
-            self.overlay.absorb_responses(good)
+            self.overlay.absorb_responses(good, effects)
 
     def _simulate(self, word):
         """Apply one fully-specified pattern; returns new detections.
 
         The pattern's good values are evaluated once, here, and shared
-        by the fault simulation, the response and the overlay.
+        by the fault simulation, the response and the overlay; so are
+        the faulty values of the faults the pattern detects.
         """
         batch = PatternBatch.from_scan_words(self.net, [word])
         good = _evaluate(self.net, batch)
+        effects = {} if self.overlay is not None else None
         counts = fault_simulate(
             self.net, batch, self.fs, pattern_base=self.pattern_index,
-            good=good,
+            good=good, effects=effects,
         )
-        self._respond(good)
+        self._respond(good, effects)
         self.pattern_index += 1
         return counts[0]
 

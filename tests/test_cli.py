@@ -254,6 +254,8 @@ def no_campaign(monkeypatch):
     (("--th2-ratio-grid", "0.5,0"), "th2 ratio"),
     (("--jobs", "0"), "--jobs"),
     (("--jobs", "-2"), "--jobs"),
+    (("--poly-set", "7,3,0", "--poly-set", "5,2,0"), "degree 5"),
+    (("--poly-set", ";"), "schedule is empty"),
 ])
 def test_sweep_config_errors_stop_before_any_cell(argv, words, no_campaign,
                                                   capsys):

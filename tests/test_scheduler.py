@@ -1,12 +1,13 @@
 """Two-phase campaign: thresholds, cycle accounting, termination paths."""
 
 import math
+import os
 import random
 import sys
 
 import pytest
 
-from bistlab import atpg, scheduler, simcore
+from bistlab import atpg, faultsim, scheduler, simcore
 from bistlab.atpg import TestVector
 from bistlab.cli import main
 from bistlab.registers import (
@@ -528,6 +529,30 @@ def test_one_evaluation_per_pattern_and_per_shadow_step(
     # the guard only bites if some step carries several shadows
     assert seen["widest_step"] >= 2
     assert seen["primed"] == (vectors == "empty")
+
+
+@pytest.mark.parametrize("bench", [
+    "s27", os.path.join(os.path.dirname(__file__), "data", "synth_fold.bench")])
+def test_signature_walks_each_cone_once_per_pattern(bench, monkeypatch):
+    """Guard: fault simulation and the overlay share their cone walks, so
+    no fault is propagated twice against the same good values."""
+    real_effect = faultsim._fault_effect
+    goods, pairs, repeats = [], set(), []
+
+    def effect(net, good, full, fault, *rest):
+        goods.append(good)  # keeps id(good) unique while the test runs
+        key = (id(good), fault)
+        if key in pairs:
+            repeats.append(fault)
+        pairs.add(key)
+        return real_effect(net, good, full, fault, *rest)
+
+    monkeypatch.setattr(faultsim, "_fault_effect", effect)
+    r = run_campaign(load_bench(bench), CampaignConfig(
+        seed=1, detection_mode="signature", unload_interval=1,
+        backtrack_budget=10))
+    assert r.signature["boundary_compares"] > 0 and len(pairs) > 0
+    assert repeats == []
 
 
 def test_summary_mentions_the_verdict(s27_result):
