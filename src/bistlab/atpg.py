@@ -9,8 +9,8 @@ and a backtrace guided by simple controllability costs picks the next
 input to try. Three-valued evaluation, the costs and the backtrace's
 choices all derive from each gate's rule in netlist.GATE_RULES.
 
-Pool compaction and vector ranking score every candidate in one
-lane-packed fault simulation per pick.
+Each pool vector is fault-simulated once, into its detection set; pool
+compaction and vector ranking are one greedy pick over those sets.
 
 Every vector PODEM returns has been confirmed by the fault simulator;
 a budget overrun raises BacktrackLimit and is never folded into an
@@ -23,7 +23,8 @@ import heapq
 import random
 from dataclasses import dataclass, field
 
-from .faultsim import FaultSet, count_new_detections, fault_simulate
+# count_new_detections is unused here: tests and perfbench/tracer.py read it
+from .faultsim import FaultSet, count_new_detections, detection_sets, fault_simulate
 from .netlist import GATE_RULES
 from .simcore import PatternBatch
 
@@ -72,13 +73,14 @@ class TestVector:
 class VectorPool:
     vectors: list = field(default_factory=list)
     consumed: bytearray = field(default_factory=bytearray)
-    fill_seed: int = None
+    sets: list = field(default_factory=list)  # detection sets, None until ranked
     detects_at_build: list = None
     backtracked: tuple = ()
 
-    def add(self, vec):
+    def add(self, vec, dset=None):
         self.vectors.append(vec)
         self.consumed.append(0)
+        self.sets.append(dset)
 
     def unconsumed(self):
         return [i for i in range(len(self.vectors)) if not self.consumed[i]]
@@ -446,46 +448,64 @@ def podem(net, fault, budget=10 ** 6, rng=None, tables=None):
     return result
 
 
+def _pick(sets, covered):
+    """(k, n): sets[k] adds the most (n) faults outside covered; ties,
+    even at n == 0, go to the lowest k. Compaction's and ranking's step."""
+    best_k, best_n = 0, -1
+    for k, dset in enumerate(sets):
+        n = (dset & ~covered).bit_count()
+        if n > best_n:
+            best_k, best_n = k, n
+    return best_k, best_n
+
+
 def select_best_vector(net, pool, fs):
     """Pick the unconsumed vector detecting the most live faults.
 
-    Every unconsumed vector is scored against fs at call time, all of
-    them in one lane-packed count. Ties go to the lowest index; if
-    nothing detects anything the lowest-index unconsumed vector is
-    returned with count 0 so the caller can decide what to do. The
-    winner is marked consumed.
+    A vector's score is its detection set less what fs has detected
+    since, so fs may only gain detections between calls. Vectors with
+    no set yet are simulated here, all of them in one lane-packed call.
+    Ties go to the lowest index; if nothing detects anything the
+    lowest-index unconsumed vector is returned with count 0 so the
+    caller can decide what to do. The winner is marked consumed.
     """
     live = pool.unconsumed()
     if not live:
         raise PoolExhausted(f"all {len(pool)} vectors consumed")
-    batch = PatternBatch.from_scan_words(
-        net, [pool.vectors[i].bits for i in live])
-    counts = count_new_detections(net, batch, fs)
-    best_n = max(counts)
-    best_i = live[counts.index(best_n)]
+    fresh = [i for i in live if pool.sets[i] is None]
+    if fresh:
+        batch = PatternBatch.from_scan_words(
+            net, [pool.vectors[i].bits for i in fresh])
+        for i, dset in zip(fresh, detection_sets(net, batch, fs)):
+            pool.sets[i] = dset
+    k, best_n = _pick([pool.sets[i] for i in live],
+                      int.from_bytes(fs.detected, "little"))
+    best_i = live[k]
     pool.consumed[best_i] = 1
     return pool.vectors[best_i], best_n
 
 
-def build_deterministic_pool(net, fs, budget=10 ** 6, fill_seed=0, skip=()):
+def build_deterministic_pool(net, fs, budget=10 ** 6, fill_seed=0):
     """PODEM over every live fault, then greedy compaction.
 
     Detection state in fs is left untouched (the vectors have not been
     applied to anything yet); untestable verdicts ARE written back to
     fs, since redundancy is a permanent property of the circuit. Faults
     that hit the backtrack budget stay unresolved; their indices are
-    recorded on the returned pool so callers can avoid retrying them
-    (the search is deterministic, a retry would fail the same way).
+    recorded on the returned pool. Compaction simulates the raw vectors
+    once, into detection sets that the kept vectors carry into the
+    pool for ranking.
     """
+    if budget < 0:
+        raise ValueError(f"backtrack budget must be >= 0, got {budget}")
     rng = random.Random(fill_seed)
     tables = _circuit_tables(net)
     work = FaultSet(fs.all)
     work.detected[:] = fs.detected
-    work.untestable[:] = fs.untestable
     raw = []
     limited = []
     for i in range(len(work.all)):
-        if work.detected[i] or work.untestable[i] or i in skip:
+        if work.detected[i] or fs.untestable[i]:
             continue
         try:
             verdict = podem(net, work.all[i], budget, rng, tables)
@@ -494,28 +514,20 @@ def build_deterministic_pool(net, fs, budget=10 ** 6, fill_seed=0, skip=()):
             continue
         if verdict is UNTESTABLE:
             fs.mark_untestable(i)
-            work.mark_untestable(i)
             continue
         raw.append(verdict)
         fault_simulate(net, PatternBatch.from_scan_words(net, [verdict.bits]), work)
 
-    # greedy fault-dropping compaction against a fresh copy
-    final = FaultSet(fs.all)
-    final.detected[:] = fs.detected
-    final.untestable[:] = fs.untestable
-    pool = VectorPool(fill_seed=fill_seed)
-    detects = []
-    remaining = list(raw)
-    while remaining:
-        batch = PatternBatch.from_scan_words(net, [v.bits for v in remaining])
-        counts = count_new_detections(net, batch, final)
-        best_n = max(counts)
+    # greedy fault-dropping compaction over the raw vectors' sets
+    sets = detection_sets(
+        net, PatternBatch.from_scan_words(net, [v.bits for v in raw]), fs)
+    covered = int.from_bytes(fs.detected, "little")
+    pool = VectorPool(detects_at_build=[], backtracked=tuple(limited))
+    while raw:
+        k, best_n = _pick(sets, covered)
         if best_n <= 0:
             break
-        vec = remaining.pop(counts.index(best_n))
-        pool.add(vec)
-        detects.append(best_n)
-        fault_simulate(net, PatternBatch.from_scan_words(net, [vec.bits]), final)
-    pool.detects_at_build = detects
-    pool.backtracked = tuple(limited)
+        pool.add(raw.pop(k), sets[k])
+        pool.detects_at_build.append(best_n)
+        covered |= sets.pop(k)
     return pool

@@ -7,8 +7,8 @@ single-fault: the good machine is evaluated once per batch, then each
 live fault propagates only through its cone of influence, lane masks in
 plain ints. Gate rules, in propagation and in collapsing, come from
 netlist.GATE_RULES. Detection means a difference at any PO or PPO.
-Detected faults are dropped: fault_simulate and count_new_detections
-share one fault loop (_detections) that skips them: bytearray.find over
+Detected faults are dropped: fault_simulate and detection_sets share
+one fault loop (_detections) that skips them: bytearray.find over
 the detected flags jumps from one live fault to the next, so a dropped
 fault costs no Python-level step. A caller that already holds the
 batch's good values passes them in (good=). A caller that also needs
@@ -247,7 +247,7 @@ def _fault_effect(net, good, full, fault, fanout, observed, lanes):
 def _detections(net, batch, fs, good=None):
     """Undetected faults the batch exposes: (index, detecting lanes, fval).
 
-    The one fault loop behind fault_simulate and count_new_detections.
+    The one fault loop behind fault_simulate and detection_sets.
     good, when given, is _evaluate(net, batch); else it is computed
     here, so the good machine is evaluated at most once per call.
     """
@@ -287,20 +287,25 @@ def fault_simulate(net, batch, fs, pattern_base=0, good=None, effects=None):
     return counts
 
 
-def count_new_detections(net, batch, fs):
-    """Per-lane counts of currently undetected faults each lane detects.
+def detection_sets(net, batch, fs):
+    """Per lane, an int of the undetected faults that lane detects.
 
-    Lanes count independently: a fault detected by several lanes counts
-    once in each of them, so lane i holds what a width-1 call on lane i
-    alone would return. Pure query: fs is not modified.
+    Fault i is bit 8*i, its bit in int.from_bytes(fs.detected, "little").
+    Lane k holds what a width-1 call on lane k alone would. fs is not
+    modified.
     """
-    counts = [0] * batch.width
-    for _i, det, _fval in _detections(net, batch, fs):
+    hits = [bytearray(len(fs.all)) for _ in range(batch.width)]
+    for i, det, _fval in _detections(net, batch, fs):
         while det:
             low = det & -det
-            counts[low.bit_length() - 1] += 1
+            hits[low.bit_length() - 1][i] = 1
             det ^= low
-    return counts
+    return [int.from_bytes(h, "little") for h in hits]
+
+
+def count_new_detections(net, batch, fs):
+    """Per-lane counts of currently undetected faults each lane detects."""
+    return [s.bit_count() for s in detection_sets(net, batch, fs)]
 
 
 def _diff_word(net, fval):

@@ -313,9 +313,16 @@ def levelize(net):
 def full_scan_transform(net):
     """Replace every DFF with a scan cell: output net joins the pseudo
     primary inputs, input net joins the pseudo primary outputs, and the
-    remaining combinational core is levelized. Idempotent; a purely
-    combinational netlist just gets levelized.
+    remaining combinational core is levelized. Idempotent: a scanned,
+    levelized netlist comes back as itself, with its compiled kernel.
     """
+    ready = set(net.input_nets)
+    for i, g in enumerate(net.gates):
+        if g.kind == "DFF" or g.id != i or not ready.issuperset(g.inputs):
+            break
+        ready.add(g.output)
+    else:
+        return net  # no DFFs; gate i has id i and reads only earlier nets
     dffs = [g for g in net.gates if g.kind == "DFF"]
     comb = [g for g in net.gates if g.kind != "DFF"]
     ppis = net.ppi_nets + tuple(g.output for g in dffs)

@@ -224,62 +224,38 @@ def export_event_log(result):
 class _DeterministicProvider:
     """Hands the campaign its next-best deterministic vector.
 
-    Backed either by a fixed file of vectors or by on-demand search. In
-    search mode the pool is regrown against the current fault state
-    whenever the existing vectors stop contributing; fault indices that
-    already hit the backtrack budget are never retried, since the
-    search is deterministic and would fail identically.
+    Backed either by a fixed file of vectors, applied as given whether
+    useful or not, or by one PODEM pool built up front. Once no vector
+    left in a PODEM pool detects a live fault, no later pool could:
+    compaction keeps a vector for every fault any PODEM vector detects,
+    and a vector leaves the pool only when it is applied (detecting all
+    of its set) or picked with count 0. So every fault still live then
+    is proven untestable or hit the backtrack budget, and the search is
+    deterministic: it would give up on it the same way again.
     """
 
     def __init__(self, net, fs, cfg):
         self.net = net
-        self.cfg = cfg
-        self.limited = set()
-        if cfg.vector_file is not None:
+        self.from_file = cfg.vector_file is not None
+        if self.from_file:
             with open(cfg.vector_file) as fh:
                 text = fh.read()
-            vecs = load_vectors(text, len(net.input_nets),
-                                random.Random(cfg.seed))
-            self.pool = VectorPool(fill_seed=cfg.seed)
-            for v in vecs:
+            self.pool = VectorPool()
+            for v in load_vectors(text, len(net.input_nets),
+                                  random.Random(cfg.seed)):
                 self.pool.add(v)
-            self.generated = len(vecs)
-            self.refreshable = False
         else:
             self.pool = build_deterministic_pool(
                 net, fs, budget=cfg.backtrack_budget, fill_seed=cfg.seed
             )
-            self.limited.update(self.pool.backtracked)
-            self.generated = len(self.pool)
-            self.refreshable = True
-
-    def _refresh(self, fs):
-        fresh = build_deterministic_pool(
-            self.net, fs, budget=self.cfg.backtrack_budget,
-            fill_seed=self.cfg.seed, skip=self.limited,
-        )
-        self.limited.update(fresh.backtracked)
-        for v in fresh.vectors:
-            self.pool.add(v)
-        self.generated += len(fresh)
-        return len(fresh)
 
     def next_best(self, fs):
         """Best unconsumed vector by current new-detection count, or None."""
-        while True:
-            try:
-                vec, count = select_best_vector(self.net, self.pool, fs)
-            except PoolExhausted:
-                vec, count = None, 0
-            if vec is not None and count > 0:
-                return vec, count
-            if not self.refreshable:
-                # a fixed file is applied as given, useful or not
-                return (vec, count) if vec is not None else None
-            live = next(_live_indices(fs.detected, fs.untestable), None)
-            if live is None or self._refresh(fs) == 0:
-                return None
-            # else reselect over the regrown pool
+        try:
+            vec, count = select_best_vector(self.net, self.pool, fs)
+        except PoolExhausted:
+            return None
+        return (vec, count) if count > 0 or self.from_file else None
 
 
 class _SignatureOverlay:
@@ -416,8 +392,7 @@ class CampaignState:
         )
         self.schedule = tuple(p.mask for p in sched)
         self.provider = _DeterministicProvider(net, fs, config)
-        self.acct = CampaignAccounting()
-        self.acct.adv = self.provider.generated
+        self.acct = CampaignAccounting(adv=len(self.provider.pool))
         self.events = []
         self.phase = 1
         self.pattern_index = 0
@@ -537,10 +512,12 @@ class CampaignState:
 
 
 def _random_burst(state):
-    """Generator free-run until the miss budget or a stop condition.
+    """Generator free-run until it goes stale or a stop check fires.
 
-    Returns (reason, any_detections); reason is one of 'target',
-    'budget', 'th1', 'th', 'cycle'.
+    Returns (stale, any_detections). stale is 'th' when the miss budget
+    ran out, 'cycle' when the generator was about to replay itself, and
+    None when the target, the cycle budget or th1 ended the burst; the
+    loop head of run_campaign acts on those.
     """
     phase = state.phase
     th = state.thresholds.th2 if phase == 1 else state.thresholds.th3
@@ -556,12 +533,10 @@ def _random_burst(state):
             misses = 0
         else:
             misses += 1
-        if state.target_reached():
-            return "target", hit
-        if state.acct.cycles >= state.cfg.cycle_budget:
-            return "budget", hit
-        if phase == 1 and state.coverage() >= state.thresholds.th1:
-            return "th1", hit
+        if (state.target_reached()
+                or state.acct.cycles >= state.cfg.cycle_budget
+                or phase == 1 and state.coverage() >= state.thresholds.th1):
+            return None, hit
     return "th", hit
 
 
@@ -608,25 +583,20 @@ def run_campaign(net, config=None, fs=None):
                 # still deserves its shot before the run gives up
                 state.phase = 2
             continue
-        reason, hit = _random_burst(state)
-        if reason == "target":
-            terminated = "target-reached"
-        elif reason == "budget":
-            terminated = "budget"
-        elif reason == "th1":
+        stale, hit = _random_burst(state)
+        if stale is None:
+            continue  # a stop check fired; the loop head acts on it
+        # the stream has gone stale, reseed it
+        nxt = state.provider.next_best(state.fs)
+        if nxt is not None:
+            state.apply_deterministic(nxt[0])
+        elif state.phase == 1:
             state.phase = 2
-            pending_det = True
-        else:  # 'th' or 'cycle': the stream has gone stale, reseed it
-            nxt = state.provider.next_best(state.fs)
-            if nxt is not None:
-                state.apply_deterministic(nxt[0])
-            elif state.phase == 1:
-                state.phase = 2
-            elif reason == "cycle":
-                terminated = "generator-cycle-detected"
-            elif not hit:
-                terminated = "provider-exhausted"
-            # else: phase 2 is still finding faults on its own; burst again
+        elif stale == "cycle":
+            terminated = "generator-cycle-detected"
+        elif not hit:
+            terminated = "provider-exhausted"
+        # else: phase 2 is still finding faults on its own; burst again
 
     if state.overlay is not None:
         # final unload so trailing divergence is not silently dropped

@@ -238,6 +238,10 @@ def test_usage_error_is_exit_1(capsys):
 def test_bad_parameter_is_exit_1(capsys):
     assert run_cli("campaign", "--bench", "s27", "--th2", "0") == 1
     assert "th2" in capsys.readouterr().err
+    assert run_cli("atpg", "--bench", "s27", "--backtrack-budget", "-1") == 1
+    err = capsys.readouterr().err
+    assert "bad parameter" in err and "backtrack budget" in err
+    assert "Traceback" not in err
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import pytest
 from bistlab.netlist import (
     BenchSyntaxError,
     CombinationalCycle,
+    Gate,
     MultipleDrivers,
     Netlist,
     UndefinedNet,
@@ -201,6 +202,23 @@ def test_full_scan_idempotent(s27_raw):
     assert once.ppi_nets == again.ppi_nets
     assert once.ppo_nets == again.ppo_nets
     assert [g.name for g in once.gates] == [g.name for g in again.gates]
+    assert again is once  # nothing to do: no copy, caches kept
+
+
+def test_full_scan_levelizes_out_of_order_netlists():
+    # z reads n, which the next gate drives
+    late = Netlist("x", [Gate(0, "AND", (3, 1), 2, "z"),
+                         Gate(1, "NOT", (0,), 3, "n")],
+                   ["a", "b", "z", "n"], [0, 1], [2])
+    # in order, but ids that do not match positions
+    renumbered = Netlist("y", [Gate(1, "NOT", (0,), 3, "n"),
+                               Gate(0, "AND", (3, 1), 2, "z")],
+                         ["a", "b", "z", "n"], [0, 1], [2])
+    for net in (late, renumbered):
+        scanned = full_scan_transform(net)
+        assert scanned is not net
+        assert [(g.id, g.name) for g in scanned.gates] == [(0, "n"), (1, "z")]
+        assert full_scan_transform(scanned) is scanned
 
 
 def test_bench_round_trip(s27_raw):

@@ -255,6 +255,18 @@ def test_campaign_levelizes_netlist_built_out_of_order():
         == export_event_log(run_campaign(parsed))
 
 
+def test_campaigns_on_one_scanned_netlist_share_its_kernel(monkeypatch):
+    net = full_scan_transform(load_bench("s27"))
+    compiled = []
+    real = simcore._compile
+    monkeypatch.setattr(simcore, "_compile",
+                        lambda n: compiled.append(n) or real(n))
+    logs = {export_event_log(run_campaign(net, CampaignConfig(seed=1)))
+            for _ in range(3)}
+    assert len(logs) == 1
+    assert compiled == [net]
+
+
 def test_campaign_accepts_prepared_fault_set(s27):
     fs = collapse_faults(enumerate_faults(s27), s27)
     total = len(fs.all)
@@ -319,6 +331,35 @@ def test_provider_exhausted_terminates(tmp_path):
     assert r.detected < r.total_faults
     assert r.untestable == 0
     audit_events(r)
+
+
+def test_podem_pool_runs_dry_only_on_faults_podem_gave_up(monkeypatch):
+    """The PODEM pool is built once. When no vector left in it detects a
+    live fault, each live fault is proven untestable or hit the backtrack
+    budget, so a rebuilt pool could add no vector."""
+    real = scheduler._DeterministicProvider.next_best
+    dry = {}
+
+    def next_best(self, fs):
+        got = real(self, fs)
+        if got is None:
+            gave_up = set(self.pool.backtracked)
+            assert all(fs.detected[i] or fs.untestable[i] or i in gave_up
+                       for i in range(len(fs)))
+            dry[budget] = dry.get(budget, 0) + 1
+        return got
+
+    monkeypatch.setattr(scheduler._DeterministicProvider, "next_best",
+                        next_best)
+    for budget in (0, 3, 100):
+        rng = random.Random(budget)
+        for k in range(15):
+            net = random_circuit(rng)
+            for target in (1.0, 0.9):
+                run_campaign(net, CampaignConfig(
+                    seed=k, backtrack_budget=budget, target_coverage=target))
+    # the check only bites where PODEM gave up on some fault
+    assert dry.get(0) and dry.get(3)
 
 
 def test_burst_cycle_trip_then_reseed_recovers(tmp_path):
@@ -478,7 +519,8 @@ def test_one_evaluation_per_pattern_and_per_shadow_step(
         vectors, interval, tmp_path, monkeypatch):
     """Guard: good-machine evaluations in a signature campaign are one
     per applied pattern, one per overlay step with any shadow, one per
-    ranking call, plus one if the seed response had to be primed."""
+    detection-set pass over the pool's vectors (the first pick makes
+    the only one), plus one if the seed response had to be primed."""
     rng = random.Random(5)
     vf = tmp_path / "s27.vec"
     vf.write_text("" if vectors == "empty" else "".join(
@@ -496,13 +538,13 @@ def test_one_evaluation_per_pattern_and_per_shadow_step(
             for attr, value in list(vars(mod).items()):
                 if value is real_evaluate:
                     monkeypatch.setattr(mod, attr, evaluate)
-    real_count = atpg.count_new_detections
+    real_sets = atpg.detection_sets
 
-    def count(*args):
+    def sets(*args):
         seen["ranking"] += 1
-        return real_count(*args)
+        return real_sets(*args)
 
-    monkeypatch.setattr(atpg, "count_new_detections", count)
+    monkeypatch.setattr(atpg, "detection_sets", sets)
     real_step = _SignatureOverlay.step
 
     def step(self, *args):
@@ -529,6 +571,7 @@ def test_one_evaluation_per_pattern_and_per_shadow_step(
     # the guard only bites if some step carries several shadows
     assert seen["widest_step"] >= 2
     assert seen["primed"] == (vectors == "empty")
+    assert seen["ranking"] == (vectors != "empty")
 
 
 @pytest.mark.parametrize("bench", [

@@ -15,7 +15,7 @@ with ``perfbench/synth.generate``:
 
 Between them the legs run both detection modes, seeds 1 to 3, unload
 intervals 1, 2, 4 and 32, on-demand PODEM at budgets 10 and 10**6,
-``atpg --export`` at budget 100, and two signature-mode ``sweep``
+``atpg --export`` at budgets 10 and 100, and two signature-mode ``sweep``
 grids. They are a covering subset, not the full product, to keep the
 test near two seconds.
 
@@ -79,6 +79,9 @@ LEGS = {
     "synth_scan-atpg-b100": [
         "atpg", "--bench", "synth_scan.bench", "--seed", "1",
         "--backtrack-budget", "100", "--export", "{vectors.txt}"],
+    "synth_fold-atpg-b10": [
+        "atpg", "--bench", "synth_fold.bench", "--seed", "1",
+        "--backtrack-budget", "10", "--export", "{vectors.txt}"],
     "s27-sweep-signature-s2-u4": [
         "sweep", "--bench", "s27", "--seed", "2",
         "--th1-grid", "0.5,0.85", "--th2-ratio-grid", "0.25,1.0",
