@@ -1,13 +1,18 @@
 """Deterministic test generation.
 
 PODEM with an explicit decision stack over the primary and pseudo
-primary inputs. Five-valued reasoning is carried as (good, faulty)
-pairs over {0, 1, X}: both machines are simulated once from the all-X
-state, and after every decision, pop or flip only the fanout cones of
-the changed inputs are re-implied. The D-frontier is read off the pair,
-and a backtrace guided by simple controllability costs picks the next
-input to try. Three-valued evaluation, the costs and the backtrace's
-choices all derive from each gate's rule in netlist.GATE_RULES.
+primary inputs. Five-valued reasoning is carried in one list of pair
+codes, 3 * good + faulty with each half 0, 1 or 2 (X), so D is 3 and
+D-bar is 1. A gate computes both machines at once by folding its
+inputs' codes through an 81-entry table for its controlling value (AND,
+OR or parity), then through a 9-entry inversion table; the tables are
+built from netlist.GATE_RULES at import. Both machines start from one
+in-order pass over the all-X state, and after every decision, pop or
+flip only the fanout cones of the changed inputs are re-implied. The
+fault is injected where it sits: at its input, or in the one gate whose
+output or pin it is. The D-frontier is read off the codes, and a
+backtrace guided by controllability costs (also derived from
+GATE_RULES) picks the next input to try.
 
 Each pool vector is fault-simulated once, into its detection set; pool
 compaction and vector ranking are one greedy pick over those sets.
@@ -131,47 +136,26 @@ def export_vectors(pool, detects=None):
     return "\n".join(lines) + "\n"
 
 
-# three-valued gate evaluation; None is X
+# Pair codes 3 * good + faulty: 0, 4 and 8 are 0, 1 and X in both
+# machines. _FOLD[ctrl][9 * a + b] combines two codes half by half, as
+# AND (ctrl 0), OR (ctrl 1) or XOR (no controlling value).
 
-def _eval3(kind, vals):
-    ctrl, inv = GATE_RULES[kind]
+def _fold_half(ctrl, a, b):
     if ctrl is None:
-        v = inv
-        for x in vals:
-            if x is None:
-                return None
-            v ^= x
-        return v
-    if ctrl in vals:
-        return ctrl ^ inv
-    if None in vals:
-        return None
-    return ctrl ^ inv ^ 1
+        return 2 if 2 in (a, b) else a ^ b
+    if ctrl in (a, b):
+        return ctrl
+    return 2 if 2 in (a, b) else ctrl ^ 1
 
 
-def _sim_pair(net, assign, fault):
-    """Simulate good and faulty machines under a partial assignment."""
-    good = [None] * net.n_nets
-    faulty = [None] * net.n_nets
-    for nid, v in assign.items():
-        good[nid] = faulty[nid] = v
-    if fault.branch is None and good[fault.net] is not None and \
-            fault.net in net.input_nets:
-        faulty[fault.net] = fault.stuck
-    for pos, g in enumerate(net.gates):
-        gvals = [good[i] for i in g.inputs]
-        fvals = []
-        for pin, i in enumerate(g.inputs):
-            if fault.branch == (pos, pin):
-                fvals.append(fault.stuck)
-            else:
-                fvals.append(faulty[i])
-        good[g.output] = _eval3(g.kind, gvals)
-        fo = _eval3(g.kind, fvals)
-        if fault.branch is None and g.output == fault.net:
-            fo = fault.stuck
-        faulty[g.output] = fo
-    return good, faulty
+_FOLD = {ctrl: tuple(3 * _fold_half(ctrl, a // 3, b // 3)
+                     + _fold_half(ctrl, a % 3, b % 3)
+                     for a in range(9) for b in range(9))
+         for ctrl in (0, 1, None)}
+_INV = _FOLD[None][4::9]  # XOR with code 4, (1, 1)
+_DIFFER = (1, 3)  # D or D-bar: known in both machines and unequal
+_AGREE = (0, 4)
+_KNOWN = _DIFFER + _AGREE
 
 
 def _controllability(net):
@@ -201,13 +185,22 @@ def _controllability(net):
 
 
 def _circuit_tables(net):
-    """(input set, observed set, producer map, cc0, cc1) of a netlist.
+    """(input set, observed set, producer position map, cc0, cc1, steps).
 
-    They depend on the circuit only; build_deterministic_pool builds
-    them once and shares them with every PODEM call it makes.
+    A gate step is (inputs, fold table, start code, _INV or None,
+    output), one per gate position. The start code is the fold's
+    identity, so a gate with no inputs evaluates as if none controlled it.
+    All of it depends on the circuit only; build_deterministic_pool
+    builds it once and shares it with every PODEM call it makes.
     """
+    steps = []
+    for g in net.gates:
+        ctrl, inv = GATE_RULES[g.kind]
+        steps.append((g.inputs, _FOLD[ctrl], 4 if ctrl == 0 else 0,
+                      _INV if inv else None, g.output))
     return (set(net.input_nets), set(net.output_nets),
-            {g.output: g for g in net.gates}, *_controllability(net))
+            {g.output: pos for pos, g in enumerate(net.gates)},
+            *_controllability(net), tuple(steps))
 
 
 class _Podem:
@@ -218,9 +211,13 @@ class _Podem:
         self.rng = rng
         self.inputs = net.input_nets
         (self.input_set, self.observed, self.producer,
-         self.cc0, self.cc1) = tables or _circuit_tables(net)
+         self.cc0, self.cc1, self.steps) = tables or _circuit_tables(net)
         self.fanout = net.fanout()
         self.cone = self._cone()
+        # the one gate that needs _faulted_step: the branch's reader or
+        # the stem's producer (none for a stem fault on an input)
+        self.faulted_pos = (fault.branch[0] if fault.branch
+                            else self.producer.get(fault.net, -1))
 
     def _cone(self):
         """Positions, ascending, of the gates the fault effect can reach.
@@ -246,17 +243,18 @@ class _Podem:
         assign = {}
         stack = []  # [net, value, tried_both]
         backtracks = 0
-        good, faulty = _sim_pair(self.net, assign, self.fault)
+        val = [8] * self.net.n_nets
+        self._imply(assign, None, val)
         changed = []
         while True:
             if changed:
-                self._imply(assign, changed, good, faulty)
+                self._imply(assign, changed, val)
                 changed = []
-            if self._detected(good, faulty):
+            if self._detected(val):
                 return self._fill(assign)
-            obj = self._objective(good, faulty)
+            obj = self._objective(val)
             if obj is not None:
-                pi, v = self._backtrace(*obj, good)
+                pi, v = self._backtrace(*obj, val)
                 assign[pi] = v
                 stack.append([pi, v, False])
                 changed.append(pi)
@@ -277,80 +275,93 @@ class _Podem:
             assign[top[0]] = top[1]
             changed.append(top[0])
 
-    def _imply(self, assign, changed, good, faulty):
-        """Bring good/faulty up to date after the changed inputs moved.
+    def _imply(self, assign, changed, val):
+        """Bring the pair codes in val up to date after inputs moved.
 
-        Only the fanout cones of those inputs are re-evaluated, gates in
-        position (topological) order, and a gate's readers are queued
-        only when one of its two output values changed. The values are a
-        pure function of the assignment, so the result equals
-        _sim_pair(net, assign, fault) with no undo trail.
+        changed=None evaluates every gate once, in position order: from
+        all-X, that is the start state. Otherwise only the fanout cones
+        of the changed inputs are re-evaluated, gates in position
+        (topological) order, and a gate's readers are queued only when
+        its code changed. The codes are a pure function of the
+        assignment, so no undo trail is kept.
         """
-        fault = self.fault
-        stuck = fault.stuck
-        stem = fault.net if fault.branch is None else None
-        branch_pos, branch_pin = fault.branch or (None, None)
-        gates = self.net.gates
+        stuck = self.fault.stuck
+        stem = self.fault.net if self.fault.branch is None else None
+        faulted_pos = self.faulted_pos
+        steps = self.steps
         fanout = self.fanout
         push, pop = heapq.heappush, heapq.heappop
-        heap = []
-        for nid in changed:
+        heap = list(range(len(steps))) if changed is None else []
+        for nid in changed or ():
             v = assign.get(nid)
-            fv = stuck if nid == stem and v is not None else v
-            if good[nid] == v and faulty[nid] == fv:
-                continue
-            good[nid] = v
-            faulty[nid] = fv
-            for pos, _pin in fanout[nid]:
-                push(heap, pos)
+            c = 8 if v is None else 3 * v + (stuck if nid == stem else v)
+            if val[nid] != c:
+                val[nid] = c
+                for pos, _pin in fanout[nid]:
+                    push(heap, pos)
         last = -1
         while heap:
             pos = pop(heap)
             if pos == last:
                 continue  # a second reader pin; readers sit later in gate order
             last = pos
-            g = gates[pos]
-            out = g.output
-            gvals = [good[i] for i in g.inputs]
-            ng = _eval3(g.kind, gvals)
-            if out == stem:
-                nf = stuck
+            ins, fold, c, inv, out = steps[pos]
+            if pos == faulted_pos:
+                c = self._faulted_step(val)
             else:
-                fvals = [faulty[i] for i in g.inputs]
-                if pos == branch_pos:
-                    fvals[branch_pin] = stuck
-                nf = ng if fvals == gvals else _eval3(g.kind, fvals)
-            if ng == good[out] and nf == faulty[out]:
-                continue
-            good[out] = ng
-            faulty[out] = nf
-            for rpos, _pin in fanout[out]:
-                push(heap, rpos)
+                for i in ins:
+                    c = fold[9 * c + val[i]]
+                if inv:
+                    c = inv[c]
+            if c != val[out]:
+                val[out] = c
+                for rpos, _pin in fanout[out]:
+                    push(heap, rpos)
 
-    def _detected(self, good, faulty):
+    def _faulted_step(self, val):
+        """The gate step at faulted_pos, with the fault injected: the
+        stuck pin's faulty half replaced before the fold, or the output's
+        faulty half after it."""
+        fault = self.fault
+        stuck = fault.stuck
+        ins, fold, c, inv, _out = self.steps[self.faulted_pos]
+        for pin, i in enumerate(ins):
+            v = val[i]
+            if fault.branch == (self.faulted_pos, pin):
+                v += stuck - v % 3
+            c = fold[9 * c + v]
+        if inv:
+            c = inv[c]
+        if fault.branch is None:
+            c += stuck - c % 3
+        return c
+
+    def _detected(self, val):
         for nid in self.observed:
-            g, f = good[nid], faulty[nid]
-            if g is not None and f is not None and g != f:
+            if val[nid] in _DIFFER:
                 return True
         return False
 
-    def _frontier(self, good, faulty):
+    def _frontier(self, val):
         """Gates with an unresolved output and a D on some input."""
         out = []
-        gates = self.net.gates
+        steps = self.steps
+        branch_pos, branch_pin = self.fault.branch or (-1, -1)
+        want = 1 - self.fault.stuck
         for pos in self.cone:
-            g = gates[pos]
-            if good[g.output] is not None and faulty[g.output] is not None:
+            ins, _fold, _start, _inv, z = steps[pos]
+            if val[z] in _KNOWN:
                 continue
-            for pin, i in enumerate(g.inputs):
-                gv = good[i]
-                fv = self.fault.stuck if self.fault.branch == (pos, pin) else faulty[i]
-                if gv is not None and fv is not None and gv != fv:
+            if pos == branch_pos and val[ins[branch_pin]] // 3 == want:
+                out.append(pos)  # the stuck pin's good half opposes it
+                continue
+            for i in ins:
+                if val[i] in _DIFFER:
                     out.append(pos)
                     break
         return out
 
-    def _xpath(self, start_net, good, faulty):
+    def _xpath(self, start_net, val):
         """Some path to an observed net is not proven fault-free yet."""
         seen = set()
         stack = [start_net]
@@ -359,8 +370,7 @@ class _Podem:
             if nid in seen:
                 continue
             seen.add(nid)
-            g, f = good[nid], faulty[nid]
-            if g is not None and f is not None and g == f:
+            if val[nid] in _AGREE:
                 continue
             if nid in self.observed:
                 return True
@@ -368,49 +378,46 @@ class _Podem:
                 stack.append(self.net.gates[pos].output)
         return False
 
-    def _objective(self, good, faulty):
+    def _objective(self, val):
         """Next (net, value) goal, or None when the search must back up."""
         site = self.fault.net
-        sg = good[site]
+        sg = val[site] // 3
         want = 1 - self.fault.stuck
-        if sg is None:
+        if sg == 2:
             return (site, want)
         if sg != want:
             return None  # activation impossible under current choices
-        frontier = self._frontier(good, faulty)
+        frontier = self._frontier(val)
         if not frontier:
             return None  # effect died everywhere
         # drive the frontier gate closest to an observation point
         for pos in sorted(frontier, reverse=True):
             g = self.net.gates[pos]
-            if not self._xpath(g.output, good, faulty):
+            if not self._xpath(g.output, val):
                 continue
             ctrl = GATE_RULES[g.kind][0]
             for i in g.inputs:
-                if good[i] is None:
+                if val[i] // 3 == 2:
                     if ctrl is None:
                         return (i, 0)
                     return (i, 1 - ctrl)
         return None
 
-    def _backtrace(self, nid, value, good):
+    def _backtrace(self, nid, value, val):
         """Walk the objective back to an unassigned input."""
         while nid not in self.input_set:
-            g = self.producer[nid]
+            g = self.net.gates[self.producer[nid]]
             ctrl, inv = GATE_RULES[g.kind]
             value ^= inv
+            free = [i for i in g.inputs if val[i] // 3 == 2]
             if ctrl is None:
                 # parity gates, NOT and BUFF: the first free input takes
                 # whatever value leaves the output at the objective
-                pick = None
                 for i in g.inputs:
-                    if good[i] is None and pick is None:
-                        pick = i
-                    elif good[i] is not None:
-                        value ^= good[i]
-                nid = pick
+                    if val[i] // 3 != 2:
+                        value ^= val[i] // 3
+                nid = free[0]
                 continue
-            free = [i for i in g.inputs if good[i] is None]
             cost = self.cc0 if value == 0 else self.cc1
             if value == ctrl:
                 nid = min(free, key=lambda i: cost[i])

@@ -6,6 +6,39 @@ injection edits the evaluation rather than propagating difference
 cones, and the register oracle shifts explicit bit lists.
 """
 
+import functools
+import itertools
+
+
+def gate_value(kind, vals):
+    """One gate's 0/1 output from its 0/1 inputs."""
+    if kind == "AND":
+        return int(all(vals))
+    if kind == "NAND":
+        return int(not all(vals))
+    if kind == "OR":
+        return int(any(vals))
+    if kind == "NOR":
+        return int(not any(vals))
+    if kind == "XOR":
+        return sum(vals) % 2
+    if kind == "XNOR":
+        return (sum(vals) + 1) % 2
+    if kind == "NOT":
+        return 1 - vals[0]
+    if kind in ("BUFF", "BUF"):
+        return vals[0]
+    raise ValueError(f"oracle cannot evaluate {kind}")
+
+
+@functools.lru_cache(maxsize=None)
+def gate_value3(kind, vals):
+    """One gate's output over {0, 1, None}, None for X: the value every
+    fill of the X inputs agrees on, else None. vals is a tuple."""
+    outs = {gate_value(kind, fill) for fill in itertools.product(
+        *[(0, 1) if v is None else (v,) for v in vals])}
+    return outs.pop() if len(outs) == 1 else None
+
 
 def eval_nets(net, assign, fault=None):
     """Evaluate every net as 0/1; assign maps input net id -> value.
@@ -41,25 +74,7 @@ def eval_nets(net, assign, fault=None):
             if vals is None:
                 still.append((pos, g))
                 continue
-            k = g.kind
-            if k == "AND":
-                v = int(all(vals))
-            elif k == "NAND":
-                v = int(not all(vals))
-            elif k == "OR":
-                v = int(any(vals))
-            elif k == "NOR":
-                v = int(not any(vals))
-            elif k == "XOR":
-                v = sum(vals) % 2
-            elif k == "XNOR":
-                v = (sum(vals) + 1) % 2
-            elif k in ("NOT",):
-                v = 1 - vals[0]
-            elif k in ("BUFF", "BUF"):
-                v = vals[0]
-            else:
-                raise ValueError(f"oracle cannot evaluate {k}")
+            v = gate_value(g.kind, vals)
             if fault is not None and fault.branch is None \
                     and g.output == fault.net:
                 v = fault.stuck
@@ -71,6 +86,40 @@ def eval_nets(net, assign, fault=None):
         if not progressed:
             raise ValueError("combinational loop in oracle evaluation")
     return values
+
+
+def sim_pair(net, assign, fault):
+    """Good and faulty machines under a partial assignment, as PODEM's
+    three-valued implication sees them: (good, faulty) lists indexed by
+    net id, None for X.
+
+    assign maps some input net ids to 0/1; the rest are X. Each gate
+    takes gate_value3 of its inputs, so X is pessimistic only where
+    reconvergence hides a constant. An input stem fault is stuck only
+    once its input is assigned; otherwise faults inject as in eval_nets.
+    """
+    good = {nid: assign.get(nid) for nid in net.input_nets}
+    faulty = dict(good)
+    if fault.branch is None and assign.get(fault.net) is not None:
+        faulty[fault.net] = fault.stuck
+    remaining = list(enumerate(net.gates))
+    while remaining:
+        still = []
+        for pos, g in remaining:
+            if any(nid not in good for nid in g.inputs):
+                still.append((pos, g))
+                continue
+            gvals = tuple(good[i] for i in g.inputs)
+            good[g.output] = gate_value3(g.kind, gvals)
+            fvals = tuple(fault.stuck if fault.branch == (pos, pin)
+                          else faulty[i] for pin, i in enumerate(g.inputs))
+            faulty[g.output] = fault.stuck if fault.branch is None and \
+                g.output == fault.net else gate_value3(g.kind, fvals)
+        if len(still) == len(remaining):
+            raise ValueError("combinational loop in oracle evaluation")
+        remaining = still
+    return ([good.get(nid) for nid in range(net.n_nets)],
+            [faulty.get(nid) for nid in range(net.n_nets)])
 
 
 def response_bits(net, assign, fault=None):

@@ -1,5 +1,6 @@
 """Vector handling, PODEM verdicts vs the exhaustive oracle, pool building."""
 
+import os
 import random
 
 import pytest
@@ -15,7 +16,6 @@ from bistlab.atpg import (
     _Podem,
     _circuit_tables,
     _controllability,
-    _sim_pair,
     build_deterministic_pool,
     count_new_detections,
     detection_sets,
@@ -31,12 +31,13 @@ from bistlab.faultsim import (
     enumerate_faults,
     fault_simulate,
 )
-from bistlab.netlist import parse_bench
+from bistlab.netlist import full_scan_transform, load_bench, parse_bench
 from bistlab.simcore import PatternBatch
 
 from conftest import random_circuit
-from oracles import assign_from_word, detecting_words, detects
+from oracles import assign_from_word, detecting_words, detects, sim_pair
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 CONTRADICTION = """\
 INPUT(a)
@@ -262,32 +263,48 @@ def test_circuit_tables_built_once_per_pool(s27, monkeypatch):
                      for f in fs.all[:2])
     assert builds == []
     assert first.producer is second.producer and first.cc0 is second.cc0
+    assert first.steps is second.steps
     assert podem(net, fs.all[0], tables=tables) == podem(net, fs.all[0])
-    input_set, observed, producer, cc0, cc1 = _circuit_tables(s27)
+    input_set, observed, producer, cc0, cc1, steps = _circuit_tables(s27)
     assert input_set == set(s27.input_nets)
     assert observed == set(s27.output_nets)
-    assert producer == {g.output: g for g in s27.gates}
+    assert producer == {g.output: pos for pos, g in enumerate(s27.gates)}
     assert (cc0, cc1) == _controllability(s27)
+    assert [(ins, out) for ins, _fold, _start, _inv, out in steps] == \
+        [(g.inputs, g.output) for g in s27.gates]
 
 
 # ------------------------------------------- incremental implication
 
+def _decode(val):
+    """(good, faulty) lists from PODEM's pair codes, None for X."""
+    def half(h):
+        return None if h == 2 else h
+    return [half(c // 3) for c in val], [half(c % 3) for c in val]
+
+
+def _encode(good, faulty):
+    return [3 * (2 if g is None else g) + (2 if f is None else f)
+            for g, f in zip(good, faulty)]
+
+
 class _CheckedPodem(_Podem):
-    """Event-driven implication, checked against a full re-simulation."""
+    """Event-driven implication, checked against the oracle's full
+    three-valued simulation of both machines."""
 
-    steps = 0
+    implications = 0
 
-    def _imply(self, assign, changed, good, faulty):
-        super()._imply(assign, changed, good, faulty)
-        assert (good, faulty) == _sim_pair(self.net, assign, self.fault)
-        _CheckedPodem.steps += 1
+    def _imply(self, assign, changed, val):
+        super()._imply(assign, changed, val)
+        assert _decode(val) == sim_pair(self.net, assign, self.fault)
+        _CheckedPodem.implications += 1
 
 
 class _ReferencePodem(_Podem):
-    """Both machines re-simulated from scratch after every step."""
+    """Both machines re-simulated by the oracle after every step."""
 
-    def _imply(self, assign, changed, good, faulty):
-        good[:], faulty[:] = _sim_pair(self.net, assign, self.fault)
+    def _imply(self, assign, changed, val):
+        val[:] = _encode(*sim_pair(self.net, assign, self.fault))
 
 
 def _podem_outcome(cls, net, fault, budget):
@@ -312,7 +329,7 @@ def _implication_cases(c17, s27):
 
 
 def test_incremental_implication_matches_full_resimulation(c17, s27):
-    _CheckedPodem.steps = 0
+    _CheckedPodem.implications = 0
     kinds = set()
     for net, fault in _implication_cases(c17, s27):
         for budget in (0, 100):
@@ -322,7 +339,7 @@ def test_incremental_implication_matches_full_resimulation(c17, s27):
             kinds.add("limit" if isinstance(got, tuple) else
                       "untestable" if got is UNTESTABLE else "vector")
     assert kinds == {"limit", "untestable", "vector"}
-    assert _CheckedPodem.steps > 1000
+    assert _CheckedPodem.implications > 1000
 
 
 def test_implication_follows_any_assignment_walk(c17, s27):
@@ -332,7 +349,9 @@ def test_implication_follows_any_assignment_walk(c17, s27):
     for net, fault in _implication_cases(c17, s27):
         podem_ = _Podem(net, fault, 0, rng)
         assign = {}
-        good, faulty = _sim_pair(net, assign, fault)
+        val = [8] * net.n_nets
+        podem_._imply(assign, None, val)
+        assert _decode(val) == sim_pair(net, assign, fault)
         for _ in range(8):
             changed = rng.sample(net.input_nets,
                                  rng.randint(1, len(net.input_nets)))
@@ -342,8 +361,43 @@ def test_implication_follows_any_assignment_walk(c17, s27):
                     assign.pop(nid, None)
                 else:
                     assign[nid] = v
-            podem_._imply(assign, changed, good, faulty)
-            assert (good, faulty) == _sim_pair(net, assign, fault)
+            podem_._imply(assign, changed, val)
+            assert _decode(val) == sim_pair(net, assign, fault)
+
+
+def _pool_record(net, faults, budget):
+    fs = FaultSet(faults)
+    pool = build_deterministic_pool(net, fs, budget=budget)
+    return ([v.bits for v in pool.vectors], pool.detects_at_build,
+            pool.backtracked, bytes(fs.untestable))
+
+
+def test_pools_match_oracle_implication(c17, s27, monkeypatch):
+    from bistlab import atpg
+
+    rng = random.Random(61)
+    cases = [(net, budget) for net in (c17, s27) for budget in (0, 3, 100)]
+    cases += [(random_circuit(rng), rng.choice((0, 3, 100)))
+              for _ in range(30)]
+    cases = [(net, fs.all, budget) for net, budget in cases
+             for fs in (enumerate_faults(net),
+                        collapse_faults(enumerate_faults(net), net))]
+    # every fifth fault of the uncollapsed universe: stems and branch
+    # pins alike; the oracle re-simulation costs seconds on all of them
+    fold = full_scan_transform(load_bench(os.path.join(DATA,
+                                                       "synth_fold.bench")))
+    cases += [(fold, enumerate_faults(fold).all[::5], budget)
+              for budget in (0, 3)]
+    seen = set()
+    for net, faults, budget in cases:
+        got = _pool_record(net, faults, budget)
+        with monkeypatch.context() as m:
+            m.setattr(atpg, "_Podem", _ReferencePodem)
+            want = _pool_record(net, faults, budget)
+        assert got == want, (net.name, budget, len(faults))
+        seen.add((bool(got[2]), any(got[3])))
+    # aborts, untestable verdicts and clean builds all occur
+    assert seen >= {(True, False), (False, True), (False, False)}
 
 
 # ---------------------------------------------- lane-packed counting

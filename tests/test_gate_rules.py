@@ -1,17 +1,18 @@
 """Each gate kind's rule, as every layer derives it from GATE_RULES.
 
 Per kind, at arity 1 for NOT and BUFF and arities 2 and 3 otherwise:
-three-valued evaluation against the exhaustive oracle, controllability
-costs against fixed values, and collapsing classes against the
-equivalences written out below.
+PODEM's pair-code gate step (good and faulty halves over {0, 1, X})
+against the exhaustive oracle, controllability costs against fixed
+values, and collapsing classes against the equivalences written out
+below.
 """
 
 import itertools
 
 import pytest
 
-from bistlab.atpg import _controllability, _eval3
-from bistlab.faultsim import FaultSet, collapse_faults, enumerate_faults
+from bistlab.atpg import _Podem, _controllability
+from bistlab.faultsim import Fault, FaultSet, collapse_faults, enumerate_faults
 from bistlab.netlist import GATE_RULES, parse_bench
 
 from oracles import eval_nets
@@ -29,14 +30,25 @@ def _one_gate(kind, n):
 
 @pytest.mark.parametrize("kind,n", CASES)
 def test_eval3_is_exact_ternary_value(kind, n):
+    """PODEM's three-valued gate step, on pair codes: each half of the
+    output is the exact ternary value of that half of the inputs."""
     net = _one_gate(kind, n)
     z = net.net_id("z")
-    for vals in itertools.product((0, 1, None), repeat=n):
+    exact = {}  # input halves over {0, 1, 2} -> exact output half
+    for halves in itertools.product((0, 1, 2), repeat=n):
         outs = {eval_nets(net, dict(zip(net.input_nets, fill)))[z]
                 for fill in itertools.product(
-                    *[(0, 1) if v is None else (v,) for v in vals])}
-        exact = outs.pop() if len(outs) == 1 else None
-        assert _eval3(kind, list(vals)) == exact, vals
+                    *[(0, 1) if h == 2 else (h,) for h in halves])}
+        exact[halves] = outs.pop() if len(outs) == 1 else 2
+    # an input stem fault leaves the gate itself on the plain step
+    podem = _Podem(net, Fault(net.input_nets[0], 0), 0, None)
+    for codes in itertools.product(range(9), repeat=n):
+        val = [8] * net.n_nets
+        for nid, code in zip(net.input_nets, codes):
+            val[nid] = code
+        podem._imply({}, None, val)
+        assert val[z] // 3 == exact[tuple(c // 3 for c in codes)], codes
+        assert val[z] % 3 == exact[tuple(c % 3 for c in codes)], codes
 
 
 # (cc0, cc1) of z: alone on primary inputs, then reading a = AND(p, q),

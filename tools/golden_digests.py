@@ -15,9 +15,10 @@ with ``perfbench/synth.generate``:
 
 Between them the legs run both detection modes, seeds 1 to 3, unload
 intervals 1, 2, 4 and 32, on-demand PODEM at budgets 10 and 10**6,
-``atpg --export`` at budgets 10 and 100, and two signature-mode ``sweep``
-grids. They are a covering subset, not the full product, to keep the
-test near two seconds.
+``atpg --export`` at budgets 10 and 100, collapsed and (on synth_fold,
+so PODEM meets every branch-pin fault) uncollapsed, and two
+signature-mode ``sweep`` grids. They are a covering subset, not the
+full product, to keep the test near two seconds.
 
     python tools/golden_digests.py           # compare with the committed file
     python tools/golden_digests.py --write   # regenerate it
@@ -82,6 +83,10 @@ LEGS = {
     "synth_fold-atpg-b10": [
         "atpg", "--bench", "synth_fold.bench", "--seed", "1",
         "--backtrack-budget", "10", "--export", "{vectors.txt}"],
+    "synth_fold-atpg-nocollapse-b10": [
+        "atpg", "--bench", "synth_fold.bench", "--no-collapse",
+        "--seed", "1", "--backtrack-budget", "10",
+        "--export", "{vectors.txt}"],
     "s27-sweep-signature-s2-u4": [
         "sweep", "--bench", "s27", "--seed", "2",
         "--th1-grid", "0.5,0.85", "--th2-ratio-grid", "0.25,1.0",
