@@ -34,6 +34,10 @@ from .netlist import GATE_RULES
 from .simcore import PatternBatch
 
 
+# PODEM's backtrack budget when the caller names none; CampaignConfig's too
+DEFAULT_BACKTRACK_BUDGET = 10 ** 6
+
+
 class BadLength(Exception):
     """Vector line length does not match the scan word width."""
 
@@ -435,7 +439,7 @@ class _Podem:
         return TestVector(bits, len(self.inputs), "podem")
 
 
-def podem(net, fault, budget=10 ** 6, rng=None, tables=None):
+def podem(net, fault, budget=DEFAULT_BACKTRACK_BUDGET, rng=None, tables=None):
     """Generate a vector for one fault, prove it untestable, or give up.
 
     Returns a TestVector or UNTESTABLE; raises BacktrackLimit when the
@@ -492,7 +496,8 @@ def select_best_vector(net, pool, fs):
     return pool.vectors[best_i], best_n
 
 
-def build_deterministic_pool(net, fs, budget=10 ** 6, fill_seed=0):
+def build_deterministic_pool(net, fs, budget=DEFAULT_BACKTRACK_BUDGET,
+                             fill_seed=0):
     """PODEM over every live fault, then greedy compaction.
 
     Detection state in fs is left untouched (the vectors have not been

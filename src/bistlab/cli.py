@@ -10,7 +10,9 @@ Subcommands:
   verify-table1 regression check of the packaged reference dataset
 
 Configuration precedence is flags over config file over environment
-(BENCH_DIR) over built-in defaults. The config file is plain
+(BENCH_DIR) over built-in defaults. The built-in defaults of the
+campaign settings are scheduler.CampaignConfig's; each flag named after
+one of its fields reads its default from there. The config file is plain
 ``key = value`` text with ``#`` comments; keys are the long flag names
 with dashes as underscores. Every report embeds the full effective
 configuration, so any output can be reproduced from its own header.
@@ -42,7 +44,6 @@ from .netlist import (
     circuit_profile,
     full_scan_transform,
     load_bench,
-    resolve_bench_path,
 )
 from .report import (
     compute_cost_model,
@@ -108,14 +109,6 @@ def _parse_poly_spec(spec):
     return tuple(entries)
 
 
-def _load_circuit(args):
-    path = resolve_bench_path(args.bench, args.bench_dir)
-    try:
-        return load_bench(path)
-    except NetlistError as exc:
-        raise NetlistError(f"{path}: {exc}") from None
-
-
 def _campaign_config(args, **cell):
     """CampaignConfig from the flags named like its fields.
 
@@ -142,7 +135,7 @@ def _effective_config(args, cfg):
         pairs.append(("bench_dir", args.bench_dir))
     pairs += [("poly" if f.name == "poly_exponents" else f.name,
                getattr(cfg, f.name))
-              for f in dataclasses.fields(cfg) if f.name != "shadow_limit"]
+              for f in dataclasses.fields(cfg)]
     return pairs
 
 
@@ -162,7 +155,7 @@ def _write_out(path, text):
 
 
 def _cmd_inspect(args):
-    net = _load_circuit(args)
+    net = load_bench(args.bench, args.bench_dir)
     scanned = full_scan_transform(net)
     prof = circuit_profile(scanned)
     kinds = {}
@@ -185,7 +178,7 @@ def _cmd_inspect(args):
 
 
 def _cmd_faults(args):
-    net = full_scan_transform(_load_circuit(args))
+    net = full_scan_transform(load_bench(args.bench, args.bench_dir))
     fs = enumerate_faults(net)
     raw = len(fs.all)
     collapsed = collapse_faults(fs, net)
@@ -206,12 +199,13 @@ def _cmd_faults(args):
 
 
 def _cmd_atpg(args):
-    net = full_scan_transform(_load_circuit(args))
+    cfg = _campaign_config(args)
+    net = full_scan_transform(load_bench(args.bench, args.bench_dir))
     fs = enumerate_faults(net)
-    if not args.no_collapse:
+    if cfg.collapse:
         fs = collapse_faults(fs, net)
     pool = build_deterministic_pool(
-        net, fs, budget=args.backtrack_budget, fill_seed=args.seed
+        net, fs, budget=cfg.backtrack_budget, fill_seed=cfg.seed
     )
     live = len(fs.all) - fs.untestable_count()
     covered = sum(pool.detects_at_build)
@@ -226,7 +220,7 @@ def _cmd_atpg(args):
 
 
 def _cmd_campaign(args):
-    net = _load_circuit(args)
+    net = load_bench(args.bench, args.bench_dir)
     try:
         cfg = _campaign_config(args)
         result = run_campaign(net, cfg)
@@ -252,8 +246,8 @@ def _cmd_campaign(args):
 
 def _sweep_cell(task):
     """One grid point; module-level so process pools can ship it."""
-    bench_path, cfg = task
-    result = run_campaign(load_bench(bench_path), cfg)
+    net, cfg = task
+    result = run_campaign(net, cfg)
     a = result.accounting
     return {
         "th1": cfg.th1,
@@ -275,18 +269,17 @@ def _cmd_sweep(args):
         print(f"sweep: bad configuration: --jobs must be >= 1, got"
               f" {args.jobs}", file=sys.stderr)
         return 1
-    bench_path = resolve_bench_path(args.bench, args.bench_dir)
     th1_grid = [float(x) for x in args.th1_grid.split(",")]
     ratio_grid = [float(x) for x in args.th2_ratio_grid.split(",")]
     poly_grid = [None]
     if args.poly_set:
         poly_grid = [_parse_poly_spec(s) for s in args.poly_set]
-    scan = circuit_profile(full_scan_transform(_load_circuit(args))).scan_length
+    net = full_scan_transform(load_bench(args.bench, args.bench_dir))
+    scan = circuit_profile(net).scan_length
     try:
         # every cell is validated before any work starts
-        tasks = [(bench_path, _campaign_config(args, th1=th1,
-                                               th2_ratio=ratio,
-                                               poly_exponents=polys))
+        tasks = [(net, _campaign_config(args, th1=th1, th2_ratio=ratio,
+                                        poly_exponents=polys))
                  for th1, ratio, polys in itertools.product(
                      th1_grid, ratio_grid, poly_grid)]
         for polys in poly_grid:
@@ -356,18 +349,28 @@ def _add_bench(p):
                    help="directory searched before BENCH_DIR and bundled data")
 
 
+def _add_field(p, field, **kw):
+    """A flag named after a CampaignConfig field, defaulting to its value."""
+    p.add_argument("--" + field.replace("_", "-"),
+                   default=getattr(CampaignConfig, field), **kw)
+
+
+def _add_pool_flags(p):
+    """Deterministic-pool flags that atpg, campaign and sweep all take."""
+    _add_field(p, "seed", type=int)
+    p.add_argument("--no-collapse", action="store_true")
+    _add_field(p, "backtrack_budget", type=int)
+
+
 def _add_run_flags(p):
     """Campaign flags that campaign and sweep both take."""
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--unload-interval", type=int, default=32)
-    p.add_argument("--detection-mode", choices=("direct", "signature"),
-                   default="direct")
-    p.add_argument("--target-coverage", type=float, default=1.0)
-    p.add_argument("--cycle-budget", type=int, default=10_000_000)
-    p.add_argument("--no-collapse", action="store_true")
-    p.add_argument("--backtrack-budget", type=int, default=10 ** 6)
-    p.add_argument("--vector-file", default=None,
-                   help="deterministic vectors from a file instead of search")
+    _add_pool_flags(p)
+    _add_field(p, "unload_interval", type=int)
+    _add_field(p, "detection_mode", choices=("direct", "signature"))
+    _add_field(p, "target_coverage", type=float)
+    _add_field(p, "cycle_budget", type=int)
+    _add_field(p, "vector_file",
+               help="deterministic vectors from a file instead of search")
 
 
 def build_parser():
@@ -390,18 +393,16 @@ def build_parser():
 
     p = sub.add_parser("atpg", help="deterministic pool generation")
     _add_bench(p)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--no-collapse", action="store_true")
-    p.add_argument("--backtrack-budget", type=int, default=10 ** 6)
+    _add_pool_flags(p)
     p.add_argument("--export", default=None, help="write vectors here")
     p.set_defaults(func=_cmd_atpg)
 
     p = sub.add_parser("campaign", help="one full two-phase run")
     _add_bench(p)
     _add_run_flags(p)
-    p.add_argument("--th1", type=float, default=0.85)
-    p.add_argument("--th2-ratio", type=float, default=None)
-    p.add_argument("--th2", type=int, default=None)
+    _add_field(p, "th1", type=float)
+    _add_field(p, "th2_ratio", type=float)
+    _add_field(p, "th2", type=int)
     p.add_argument("--poly", action="append", default=None,
                    metavar="EXPONENTS",
                    help="polynomial as exponents '7,3,0'; repeat or join"
@@ -414,7 +415,7 @@ def build_parser():
     p = sub.add_parser("sweep", help="campaign grid")
     _add_bench(p)
     _add_run_flags(p)
-    p.add_argument("--th1-grid", default="0.85")
+    p.add_argument("--th1-grid", default=str(CampaignConfig.th1))
     p.add_argument("--th2-ratio-grid", default="0.5")
     p.add_argument("--poly-set", action="append", default=None,
                    help="one schedule per occurrence, e.g. '7,3,0;7,1,0'")

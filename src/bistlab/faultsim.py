@@ -108,7 +108,9 @@ def collapse_faults(fs, net):
 
     Classes are built over the full universe (controlling-input rules
     plus stem/branch identity on unobserved single-reader nets), then
-    each fault in fs maps to its class representative. Idempotent.
+    each fault in fs maps to its class representative, the least of its
+    members in fs by sort key. Idempotent. The result is a fresh set:
+    no detection or untestable mark in fs carries over.
     """
     parent = {}
 
@@ -147,22 +149,11 @@ def collapse_faults(fs, net):
             union(Fault(nid, 0), Fault(nid, 0, (pos, pin)))
             union(Fault(nid, 1), Fault(nid, 1, (pos, pin)))
 
-    classes = {}
-    for f in fs.all:
-        classes.setdefault(find(f), []).append(f)
-    reps = sorted((min(members, key=Fault.sort_key) for members in classes.values()),
-                  key=Fault.sort_key)
-    out = FaultSet(reps)
-    for root, members in classes.items():
-        rep = min(members, key=Fault.sort_key)
-        hits = [fs.detector[fs.index_of(m)] for m in members
-                if fs.detected[fs.index_of(m)]]
-        i = out.index_of(rep)
-        if hits:
-            out.mark_detected(i, min(hits))
-        if all(fs.untestable[fs.index_of(m)] for m in members):
-            out.mark_untestable(i)
-    return out
+    # in sort order, the first member of a class met is its representative
+    reps = {}
+    for f in sorted(fs.all, key=Fault.sort_key):
+        reps.setdefault(find(f), f)
+    return FaultSet(reps.values())
 
 
 def _live_indices(done, skip=None):

@@ -393,10 +393,17 @@ def resolve_bench_path(name, bench_dir=None):
     raise FileNotFoundError(f"no .bench file found; tried: {', '.join(tried)}")
 
 
-def load_bench(name):
-    """resolve_bench_path + parse_bench; netlist named after the file stem."""
-    path = resolve_bench_path(name)
+def load_bench(name, bench_dir=None):
+    """resolve_bench_path + parse_bench; netlist named after the file stem.
+
+    A parse error's message is prefixed with the resolved path.
+    """
+    path = resolve_bench_path(name, bench_dir)
     with open(path) as fh:
         text = fh.read()
     stem = os.path.splitext(os.path.basename(path))[0]
-    return parse_bench(text, name=stem)
+    try:
+        return parse_bench(text, name=stem)
+    except NetlistError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise

@@ -158,11 +158,9 @@ class IpBilboConfig:
 
     poly_schedule is consumed round-robin, one polynomial per clock, so
     indirect-mode patterns use two schedule entries and direct-mode
-    patterns one. unload_interval is how many generated patterns pass
-    between signature snapshots.
+    patterns one.
     """
     poly_schedule: tuple
-    unload_interval: int = 32
 
     def __post_init__(self):
         sched = tuple(self.poly_schedule)
@@ -171,8 +169,6 @@ class IpBilboConfig:
             raise ValueError("empty polynomial schedule")
         if len({p.degree for p in sched}) != 1:
             raise DegreeMismatch("schedule polynomials must share one degree")
-        if self.unload_interval < 1:
-            raise ValueError("unload_interval must be >= 1")
 
     @property
     def width(self):

@@ -195,34 +195,32 @@ def verify_reference():
     rows = reference_rows()
     ok = True
     lines = []
-    printed_imps = []
     for row in rows:
+        rep = compute_improvements(reference_report(row))
         probs = []
-        rtc = row["adv"] * row["scan_length"]
-        if rtc != row["rtc"]:
-            probs.append(f"rtc {rtc} != printed {row['rtc']}")
-        imp_rts = (row["rtc"] - row["pmtc"]) / row["rtc"] * 100.0
-        if abs(display_percent(imp_rts) - row["imp_rts"]) > 1:
+        rtc = rep.adv * rep.scan_length
+        if rtc != rep.rtc:
+            probs.append(f"rtc {rtc} != printed {rep.rtc}")
+        if abs(display_percent(rep.imp_rts) - row["imp_rts"]) > 1:
             probs.append(
-                f"imp_rts {imp_rts:.2f} vs printed {row['imp_rts']}")
-        imp_pw = (row["pwtc"] - row["pmtc"]) / row["pwtc"] * 100.0
-        if abs(display_percent(imp_pw) - row["imp_pw"]) > 1:
-            probs.append(f"imp_pw {imp_pw:.2f} vs printed {row['imp_pw']}")
-        ph1 = row["pmtc"] - row["pmdv"] * row["scan_length"] - row["prtp"]
-        if not 0 <= ph1 <= row["prtp"]:
-            probs.append(f"no valid phase split (ph1 would be {ph1})")
-        printed_imps.append(row["imp_pw"])
+                f"imp_rts {rep.imp_rts:.2f} vs printed {row['imp_rts']}")
+        if abs(display_percent(rep.imp_pw) - row["imp_pw"]) > 1:
+            probs.append(
+                f"imp_pw {rep.imp_pw:.2f} vs printed {row['imp_pw']}")
+        if not 0 <= rep.prtp_ph1 <= row["prtp"]:
+            probs.append(
+                f"no valid phase split (ph1 would be {rep.prtp_ph1})")
         if probs:
             ok = False
             lines.append(f"FAIL {row['circuit']}: " + "; ".join(probs))
         else:
             lines.append(
                 f"ok   {row['circuit']}: rtc={rtc}"
-                f" imp_rts={imp_rts:.2f}->{display_percent(imp_rts)}"
-                f" imp_pw={imp_pw:.2f}->{display_percent(imp_pw)}"
-                f" phase_split=({ph1},{row['prtp'] - ph1})"
+                f" imp_rts={rep.imp_rts:.2f}->{display_percent(rep.imp_rts)}"
+                f" imp_pw={rep.imp_pw:.2f}->{display_percent(rep.imp_pw)}"
+                f" phase_split=({rep.prtp_ph1},{rep.prtp_ph2})"
             )
-    mean = sum(printed_imps) / len(printed_imps)
+    mean = sum(row["imp_pw"] for row in rows) / len(rows)
     lines.append(
         f"mean imp_pw over printed integers: {mean:.2f}"
         f" (headline figure says 35; the column itself averages"

@@ -37,6 +37,7 @@ import random
 from dataclasses import dataclass
 
 from .atpg import (
+    DEFAULT_BACKTRACK_BUDGET,
     PoolExhausted,
     VectorPool,
     build_deterministic_pool,
@@ -100,7 +101,42 @@ def _check_thresholds(th1, th2_ratio, th2):
         raise InvalidRatio(f"th2 ratio must be in (0, 1], got {th2_ratio}")
 
 
-def derive_thresholds(profile, th1=0.85, th2_ratio=None, th2=None):
+@dataclass
+class CampaignConfig:
+    """Everything a run depends on; equal configs give identical runs."""
+
+    seed: int = 1
+    th1: float = 0.85
+    th2_ratio: float = None
+    th2: int = None
+    poly_exponents: tuple = None  # tuple of exponent tuples, else built-in table
+    unload_interval: int = 32
+    detection_mode: str = "direct"  # or "signature"
+    target_coverage: float = 1.0
+    cycle_budget: int = 10_000_000
+    collapse: bool = True
+    backtrack_budget: int = DEFAULT_BACKTRACK_BUDGET
+    vector_file: str = None  # deterministic source; None = generate on demand
+    # a class constant, not a field: the faults * gates above which the
+    # signature overlay is skipped
+    shadow_limit = 2_000_000
+
+    def __post_init__(self):
+        _check_thresholds(self.th1, self.th2_ratio, self.th2)
+        if self.detection_mode not in ("direct", "signature"):
+            raise ValueError(f"unknown detection mode {self.detection_mode!r}")
+        if self.cycle_budget < 1:
+            raise ValueError("cycle budget must be positive")
+        if not 0.0 < self.target_coverage <= 1.0:
+            raise ValueError("target coverage must be in (0, 1]")
+        if self.unload_interval < 1:
+            raise ValueError("unload interval must be >= 1")
+        if self.backtrack_budget < 0:
+            raise ValueError("backtrack budget must be >= 0")
+
+
+def derive_thresholds(profile, th1=CampaignConfig.th1, th2_ratio=None,
+                      th2=None):
     """Thresholds for a circuit, scaled by its scan length.
 
     th2 defaults to half the scan length for short chains and a quarter
@@ -118,40 +154,6 @@ def derive_thresholds(profile, th1=0.85, th2_ratio=None, th2=None):
             th2_ratio = 0.5 if scan <= 256 else 0.25
         th2 = max(1, math.ceil(th2_ratio * scan))
     return Thresholds(th1=th1, th2=th2, th3=2 * th2)
-
-
-@dataclass
-class CampaignConfig:
-    """Everything a run depends on; equal configs give identical runs."""
-
-    seed: int = 1
-    th1: float = 0.85
-    th2_ratio: float = None
-    th2: int = None
-    poly_exponents: tuple = None  # tuple of exponent tuples, else built-in table
-    unload_interval: int = 32
-    detection_mode: str = "direct"  # or "signature"
-    target_coverage: float = 1.0
-    cycle_budget: int = 10_000_000
-    collapse: bool = True
-    backtrack_budget: int = 10 ** 6
-    vector_file: str = None  # deterministic source; None = generate on demand
-    shadow_limit: int = 2_000_000  # faults*gates above which aliasing is skipped
-
-    def __post_init__(self):
-        _check_thresholds(self.th1, self.th2_ratio, self.th2)
-        if self.detection_mode not in ("direct", "signature"):
-            raise ValueError(f"unknown detection mode {self.detection_mode!r}")
-        if self.cycle_budget < 1:
-            raise ValueError("cycle budget must be positive")
-        if not 0.0 < self.target_coverage <= 1.0:
-            raise ValueError("target coverage must be in (0, 1]")
-        if self.unload_interval < 1:
-            raise ValueError("unload interval must be >= 1")
-        if self.backtrack_budget < 0:
-            raise ValueError("backtrack budget must be >= 0")
-        if self.shadow_limit < 0:
-            raise ValueError("shadow limit must be >= 0")
 
 
 def generator_schedule(poly_exponents, scan_length):
@@ -387,9 +389,7 @@ class CampaignState:
         self.fs = fs
         sched = generator_schedule(config.poly_exponents,
                                    self.profile.scan_length)
-        self.gen = IpBilbo(
-            IpBilboConfig(sched, unload_interval=config.unload_interval)
-        )
+        self.gen = IpBilbo(IpBilboConfig(sched))
         self.schedule = tuple(p.mask for p in sched)
         self.provider = _DeterministicProvider(net, fs, config)
         self.acct = CampaignAccounting(adv=len(self.provider.pool))

@@ -1,10 +1,11 @@
 """Command-line surface: parsing, config files, exit codes, outputs."""
 
+import dataclasses
 import json
 
 import pytest
 
-from bistlab import cli
+from bistlab import cli, netlist
 from bistlab.cli import main, read_config_file
 from bistlab.netlist import parse_bench
 from bistlab.scheduler import CampaignConfig, run_campaign
@@ -187,6 +188,35 @@ def test_sweep_honours_pool_flags(tmp_path, capsys, flags, cfg_text,
         (str(a.adv), str(a.pmdv), str(a.cycles))
     assert float(flagged["coverage"]) == pytest.approx(result.coverage,
                                                        abs=1e-6)
+
+
+def test_sweep_parses_its_circuit_once(monkeypatch, capsys):
+    calls = []
+    parse = netlist.parse_bench
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(netlist, "parse_bench", counted)
+    assert run_cli("sweep", "--bench", "s27", "--th1-grid", "0.5,0.85",
+                   "--th2-ratio-grid", "0.25,0.5") == 0
+    assert len([line for line in capsys.readouterr().out.splitlines()
+                if line and not line.startswith("#")]) == 5
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["atpg", "campaign", "sweep"])
+def test_flag_defaults_are_campaign_config_defaults(command):
+    args = cli.build_parser().parse_args([command, "--bench", "s27"])
+    want = CampaignConfig()
+    for f in dataclasses.fields(CampaignConfig):
+        if hasattr(args, f.name):
+            assert getattr(args, f.name) == getattr(want, f.name), f.name
+    assert (not args.no_collapse) == want.collapse
+    if command == "sweep":
+        assert float(args.th1_grid) == want.th1
+    assert cli._campaign_config(args) == want
 
 
 # -------------------------------------------------------------- config file

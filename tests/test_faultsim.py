@@ -107,32 +107,6 @@ def test_collapse_idempotent(s27):
     assert fs2.all == fs1.all
 
 
-def test_collapse_carries_earliest_detection():
-    net = parse_bench(AND_GATE, "and2")
-    raw = enumerate_faults(net)
-    sa0 = [i for i, f in enumerate(raw.all) if f.stuck == 0]
-    assert len(sa0) == 3
-    raw.mark_detected(sa0[0], 9)
-    raw.mark_detected(sa0[1], 4)
-    fs = collapse_faults(raw, net)
-    i = next(i for i, f in enumerate(fs.all) if f.stuck == 0)
-    assert fs.detected[i] == 1
-    assert fs.detector[i] == 4
-
-
-def test_collapse_untestable_requires_all_members():
-    net = parse_bench(AND_GATE, "and2")
-    raw = enumerate_faults(net)
-    sa0 = [i for i, f in enumerate(raw.all) if f.stuck == 0]
-    raw.mark_untestable(sa0[0])
-    fs = collapse_faults(raw, net)
-    assert fs.untestable_count() == 0
-    for i in sa0:
-        raw.mark_untestable(i)
-    fs = collapse_faults(raw, net)
-    assert fs.untestable_count() == 1
-
-
 def test_collapse_classes_share_detecting_sets():
     # Merging is only sound if every fault in a class is detected by
     # exactly the words that detect the representative.
@@ -144,11 +118,11 @@ def test_collapse_classes_share_detecting_sets():
         sig = {f: frozenset(w for w in words
                             if detects(net, assign_from_word(net, w), f))
                for f in raw.all}
-        for i, f in enumerate(raw.all):
-            tagged = FaultSet(raw.all)
-            tagged.mark_detected(i, i)
-            fs = collapse_faults(tagged, net)
-            hit = [fs.all[j] for j in range(len(fs)) if fs.detected[j]]
+        reps = collapse_faults(raw, net).all
+        for f in raw.all:
+            # f and r share a class exactly when the pair collapses to one
+            hit = [r for r in reps
+                   if len(collapse_faults(FaultSet((f, r)), net)) == 1]
             assert len(hit) == 1
             assert sig[f] == sig[hit[0]], (net.name, f, hit[0])
 

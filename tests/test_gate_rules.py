@@ -117,15 +117,8 @@ def test_collapse_classes(kind, n):
                         if (f.branch is not None and f.stuck == sv)
                         or (f.branch is None and f.stuck == ov))
         want = {c for c in want if not c <= cls} | {cls}
-    # a fault's class is the set of faults whose detection marks the
-    # same representative
-    rep_of = {}
-    for f in universe:
-        probe = FaultSet(universe)
-        probe.mark_detected(probe.index_of(f), 0)
-        out = collapse_faults(probe, net)
-        [rep] = [r for i, r in enumerate(out.all) if out.detected[i]]
-        rep_of[f] = rep
-    got = {frozenset(f for f in universe if rep_of[f] == r)
-           for r in set(rep_of.values())}
+    # a fault's class is the set of faults it collapses to one with
+    got = {frozenset(g for g in universe
+                     if len(collapse_faults(FaultSet((f, g)), net)) == 1)
+           for f in universe}
     assert got == want

@@ -143,8 +143,6 @@ def test_config_validation():
         IpBilboConfig(())
     with pytest.raises(DegreeMismatch):
         IpBilboConfig((P3A, Polynomial(4, 0b1001)))
-    with pytest.raises(ValueError):
-        IpBilboConfig((P3A,), unload_interval=0)
 
 
 # --------------------------------------------------- reseeding step, frozen

@@ -1,5 +1,6 @@
 """Two-phase campaign: thresholds, cycle accounting, termination paths."""
 
+import dataclasses
 import math
 import os
 import random
@@ -174,14 +175,20 @@ def test_config_validation():
 @pytest.mark.parametrize("field, value, flag", [
     ("unload_interval", 0, "--unload-interval"),
     ("backtrack_budget", -1, "--backtrack-budget"),
-    ("shadow_limit", -1, None),  # library-only field, no flag
 ])
 def test_config_rejects_negative_counts(field, value, flag, capsys):
     with pytest.raises(ValueError, match=field.replace("_", " ")):
         CampaignConfig(**{field: value})
-    if flag is not None:
-        assert main(["campaign", "--bench", "s27", flag, str(value)]) == 1
-        assert field.replace("_", " ") in capsys.readouterr().err
+    assert main(["campaign", "--bench", "s27", flag, str(value)]) == 1
+    assert field.replace("_", " ") in capsys.readouterr().err
+
+
+def test_shadow_limit_is_a_constant_not_a_field():
+    with pytest.raises(TypeError):
+        CampaignConfig(shadow_limit=1)
+    assert "shadow_limit" not in {f.name for f in dataclasses.fields(
+        CampaignConfig)}
+    assert CampaignConfig().shadow_limit == 2_000_000
 
 
 # ---------------------------------------------------------- full campaigns
@@ -444,9 +451,9 @@ def test_signature_frequent_unloads_catch_more(s27):
     assert often.signature["detected"] >= rare.signature["detected"]
 
 
-def test_signature_overlay_size_gate(s27):
-    r = run_campaign(s27, CampaignConfig(seed=1, detection_mode="signature",
-                                         shadow_limit=1))
+def test_signature_overlay_size_gate(s27, monkeypatch):
+    monkeypatch.setattr(CampaignConfig, "shadow_limit", 1)
+    r = run_campaign(s27, CampaignConfig(seed=1, detection_mode="signature"))
     assert r.signature is None  # too big by configuration, direct counts stand
     assert r.coverage == 1.0
 

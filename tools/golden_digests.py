@@ -17,7 +17,8 @@ Between them the legs run both detection modes, seeds 1 to 3, unload
 intervals 1, 2, 4 and 32, on-demand PODEM at budgets 10 and 10**6,
 ``atpg --export`` at budgets 10 and 100, collapsed and (on synth_fold,
 so PODEM meets every branch-pin fault) uncollapsed, and two
-signature-mode ``sweep`` grids. They are a covering subset, not the
+signature-mode ``sweep`` grids; ``verify-table1`` pins the reference
+dataset check's per-row lines. They are a covering subset, not the
 full product, to keep the test near two seconds.
 
     python tools/golden_digests.py           # compare with the committed file
@@ -99,6 +100,7 @@ LEGS = {
         "--unload-interval", "2", "--detection-mode", "signature",
         "--target-coverage", "0.95", "--cycle-budget", "5000",
         "--backtrack-budget", "10", "--out", "{grid.csv}"],
+    "verify-table1": ["verify-table1"],
 }
 
 
